@@ -21,43 +21,33 @@ for t in build-asan/tests/*_test; do
   fi
 done
 
-# The wire-labeled slice (packet tap + Section 4.2 auditor) again via
-# ctest, case by case: a capture decode that trips ASan only in one
-# parameterized case is pinpointed here instead of vanishing into a
+# The labelled slices again via ctest, case by case: an ASan report in
+# one parameterized case is pinpointed here instead of vanishing into a
 # whole-binary FAIL above.
-if ! ctest --test-dir build-asan -L wire --output-on-failure >/dev/null; then
-  echo "FAIL: ctest -L wire under ASan"
-  failures=$((failures + 1))
-fi
-
-# Likewise the chaos_rt slice: the FaultFabric's delayed-copy and
-# reorder-hold callbacks run through coroutine frames on both the
-# simulated and real executors — exactly the call-path shape the
-# CLAUDE.md coroutine rules exist for.
-if ! ctest --test-dir build-asan -L chaos_rt --output-on-failure >/dev/null; then
-  echo "FAIL: ctest -L chaos_rt under ASan"
-  failures=$((failures + 1))
-fi
-
-# And the apps slice (replfs end-to-end tests + demo): the replfs
-# client/server are coroutine-heavy application code layered over
-# generated stubs, ordered broadcast, and the commit protocol — a prime
-# habitat for the GCC 12 coroutine hazards.
-if ! ctest --test-dir build-asan -L apps --output-on-failure >/dev/null; then
-  echo "FAIL: ctest -L apps under ASan"
-  failures=$((failures + 1))
-fi
-
-# And the obs slice: the latency attributor buffers whole event streams
-# per pending call while coroutine protocol code publishes into it — a
-# use-after-free anywhere in that handoff shows up here case by case.
-if ! ctest --test-dir build-asan -L obs --output-on-failure >/dev/null; then
-  echo "FAIL: ctest -L obs under ASan"
-  failures=$((failures + 1))
-fi
+#   wire      packet tap + Section 4.2 auditor (capture decoding).
+#   chaos_rt  FaultFabric delayed-copy and reorder-hold callbacks, run
+#             through coroutine frames on the simulated and real
+#             executors — the call-path shape the GCC 12 coroutine
+#             hazard above strikes.
+#   apps      replfs end-to-end tests + demo: coroutine-heavy client and
+#             server code over generated stubs, ordered broadcast and the
+#             commit protocol.
+#   obs       the latency attributor buffers whole event streams per
+#             pending call while coroutine protocol code publishes into
+#             it; a use-after-free in that handoff shows up here.
+#   tools     the circus subcommands, run as child processes (built with
+#             ASan too) on a sim run's shards and capture, plus the
+#             introspection client against live UDP sockets.
+for label in wire chaos_rt apps obs tools; do
+  if ! ctest --test-dir build-asan -L "$label" --output-on-failure \
+      >/dev/null; then
+    echo "FAIL: ctest -L $label under ASan"
+    failures=$((failures + 1))
+  fi
+done
 
 if [ "$failures" -ne 0 ]; then
   echo "check_asan: $failures test binary(ies) failed" >&2
   exit 1
 fi
-echo "check_asan: all test binaries clean under ASan (incl. ctest -L wire/chaos_rt/apps/obs)"
+echo "check_asan: all test binaries clean under ASan (incl. ctest -L wire/chaos_rt/apps/obs/tools)"

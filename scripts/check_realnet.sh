@@ -42,16 +42,13 @@ echo "check_realnet: rt suite stable over $runs runs"
 # and streaming a trace shard (trace_dir=). While the testbed runs,
 # every node must answer `metrics` and `health` datagrams with
 # well-formed replies; after a SIGTERM-driven graceful shutdown, the
-# four shards must merge (circus_trace_merge) into one clock-aligned
+# four shards must merge (circus merge) into one clock-aligned
 # Chrome trace in which a replicated call is one root-thread span tree
 # spanning both members.
 
 node_bin="$build_dir/src/rt/circus_node"
-merge_bin="$build_dir/src/rt/circus_trace_merge"
-wire_bin="$build_dir/src/rt/circus_wire"
-lat_bin="$build_dir/src/rt/circus_lat"
-top_bin="$build_dir/src/rt/circus_top"
-for bin in "$node_bin" "$merge_bin" "$wire_bin" "$lat_bin" "$top_bin"; do
+circus_bin="$build_dir/src/rt/circus"
+for bin in "$node_bin" "$circus_bin"; do
   if [ ! -x "$bin" ]; then
     echo "check_realnet: missing $bin (build first)" >&2
     exit 1
@@ -221,29 +218,30 @@ for port, role in [(38311, "ringmaster"), (38312, "member"),
 sys.exit(0 if ok else 1)
 EOF
 
-# circus_top: one snapshot of the whole live testbed must render a
+# circus top: one snapshot of the whole live testbed must render a
 # per-resource row block for every node and exit 0.
 top_rc=0
-"$top_bin" --once 127.0.0.1:38311 127.0.0.1:38312 127.0.0.1:38313 \
+"$circus_bin" top --once 127.0.0.1:38311 127.0.0.1:38312 127.0.0.1:38313 \
   127.0.0.1:38314 >"$obs_dir/top.log" 2>&1 || top_rc=$?
 if [ "$top_rc" -ne 0 ]; then
-  echo "FAIL: circus_top --once exited $top_rc"
+  echo "FAIL: circus top --once exited $top_rc"
   sed 's/^/  /' "$obs_dir/top.log"
   obs_failures=$((obs_failures + 1))
 elif [ "$(grep -c "cpu.process" "$obs_dir/top.log")" -ne 4 ] \
    || ! grep -q "rt.loop" "$obs_dir/top.log"; then
-  echo "FAIL: circus_top table missing per-node resource rows"
+  echo "FAIL: circus top table missing per-node resource rows"
   sed 's/^/  /' "$obs_dir/top.log"
   obs_failures=$((obs_failures + 1))
 else
-  echo "PASS: circus_top --once rendered all 4 nodes"
+  echo "PASS: circus top --once rendered all 4 nodes"
 fi
 
-# Strict CLI flags: every tool must reject an unknown flag with usage
-# and a nonzero exit instead of silently treating it as an input path.
-for tool in "$merge_bin" "$lat_bin" "$wire_bin" "$top_bin"; do
-  if "$tool" --definitely-not-a-flag x >/dev/null 2>&1; then
-    echo "FAIL: $(basename "$tool") accepted an unknown flag"
+# Strict CLI flags: every subcommand must reject an unknown flag with
+# usage and a nonzero exit instead of silently treating it as an input
+# path.
+for sub in merge lat wire top; do
+  if "$circus_bin" "$sub" --definitely-not-a-flag x >/dev/null 2>&1; then
+    echo "FAIL: circus $sub accepted an unknown flag"
     obs_failures=$((obs_failures + 1))
   fi
 done
@@ -272,14 +270,14 @@ for node in ringmaster-38301 member-38302 member-38303 client-38304; do
 done
 
 merge_rc=0
-"$merge_bin" -o "$obs_dir/merged.trace.json" \
+"$circus_bin" merge -o "$obs_dir/merged.trace.json" \
   "$obs_dir/client-38304.trace.jsonl" \
   "$obs_dir/ringmaster-38301.trace.jsonl" \
   "$obs_dir/member-38302.trace.jsonl" \
   "$obs_dir/member-38303.trace.jsonl" \
   >"$obs_dir/merge.log" 2>&1 || merge_rc=$?
 if [ "$merge_rc" -ne 0 ]; then
-  echo "FAIL: circus_trace_merge exited $merge_rc"
+  echo "FAIL: circus merge exited $merge_rc"
   sed 's/^/  /' "$obs_dir/merge.log"
   obs_failures=$((obs_failures + 1))
 else
@@ -331,19 +329,19 @@ fi
 # legitimately exchange get_state during sequential joins.) The audit
 # also annotates the merged timeline with per-span wire cost.
 wire_rc=0
-"$wire_bin" --annotate "$obs_dir/merged.trace.json" \
+"$circus_bin" wire --annotate "$obs_dir/merged.trace.json" \
   -o "$obs_dir/wire.trace.json" --no-conversations \
   "$obs_dir"/*.tap.jsonl >"$obs_dir/wire.log" 2>&1 || wire_rc=$?
 if [ "$wire_rc" -ne 0 ]; then
-  echo "FAIL: circus_wire exited $wire_rc (violations or bad captures)"
+  echo "FAIL: circus wire exited $wire_rc (violations or bad captures)"
   sed 's/^/  /' "$obs_dir/wire.log"
   obs_failures=$((obs_failures + 1))
 elif ! grep -q "wire audit: 0 violation" "$obs_dir/wire.log"; then
-  echo "FAIL: circus_wire did not report a clean audit"
+  echo "FAIL: circus wire did not report a clean audit"
   sed 's/^/  /' "$obs_dir/wire.log"
   obs_failures=$((obs_failures + 1))
 elif [ ! -s "$obs_dir/wire.trace.json" ]; then
-  echo "FAIL: circus_wire produced no annotated timeline"
+  echo "FAIL: circus wire produced no annotated timeline"
   obs_failures=$((obs_failures + 1))
 else
   echo "PASS: wire audit clean over $(ls "$obs_dir"/*.tap.jsonl | wc -l) captures"
@@ -357,7 +355,7 @@ if [ "$obs_failures" -ne 0 ]; then
   done
   exit 1
 fi
-echo "check_realnet: observability round ok (metrics/health/latency/util on 4 nodes, circus_top snapshot, shards merged, wire audit clean)"
+echo "check_realnet: observability round ok (metrics/health/latency/util on 4 nodes, circus top snapshot, shards merged, wire audit clean)"
 
 # --- latency-bench round -----------------------------------------------
 # The open-loop load harness against the real runtime: bench_throughput

@@ -11,6 +11,9 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
+
+#include "src/common/status.h"
 
 namespace circus::net {
 
@@ -41,6 +44,13 @@ struct NetAddressHash {
         (static_cast<uint64_t>(a.host) << 16) | a.port);
   }
 };
+
+// "10.1.2.3:9000" -> NetAddress (host byte order): four decimal octets
+// (a trailing '.' after the fourth is allowed), a decimal port in
+// [0, 65535], each field read by circus::ParseInt, nothing else. The one
+// IPv4 endpoint parser; callers with other forms (no port 0, a bare port
+// meaning loopback) wrap it.
+circus::StatusOr<NetAddress> ParseNetAddress(std::string_view text);
 
 // Makes a unicast host address in the simulated 10.0.0.0/8 net.
 constexpr HostAddress MakeHostAddress(uint32_t index) {

@@ -1,12 +1,12 @@
 #include "src/net/fault_fabric.h"
 
-#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/parse.h"
 #include "src/net/socket.h"
 
 namespace circus::net {
@@ -194,55 +194,6 @@ void FaultFabric::SendThrough(sim::Host* sender, Datagram d) {
   inner_->suppress_send_observation_ = false;
 }
 
-std::optional<NetAddress> FaultFabric::ParseEndpoint(
-    std::string_view text) {
-  NetAddress out;
-  const size_t colon = text.rfind(':');
-  std::string_view host_part;
-  std::string_view port_part = text;
-  if (colon != std::string_view::npos) {
-    host_part = text.substr(0, colon);
-    port_part = text.substr(colon + 1);
-  }
-  unsigned port = 0;
-  auto [p, ec] = std::from_chars(port_part.data(),
-                                 port_part.data() + port_part.size(), port);
-  if (ec != std::errc() || p != port_part.data() + port_part.size() ||
-      port == 0 || port > 65535) {
-    return std::nullopt;
-  }
-  out.port = static_cast<Port>(port);
-  if (host_part.empty()) {
-    out.host = 0x7F000001u;  // bare port: loopback
-    return out;
-  }
-  uint32_t host = 0;
-  int quads = 0;
-  const char* cur = host_part.data();
-  const char* end = host_part.data() + host_part.size();
-  while (cur < end && quads < 4) {
-    unsigned quad = 0;
-    auto [q, qec] = std::from_chars(cur, end, quad);
-    if (qec != std::errc() || quad > 255) {
-      return std::nullopt;
-    }
-    host = (host << 8) | quad;
-    ++quads;
-    cur = q;
-    if (cur < end) {
-      if (*cur != '.') {
-        return std::nullopt;
-      }
-      ++cur;
-    }
-  }
-  if (quads != 4 || cur != end) {
-    return std::nullopt;
-  }
-  out.host = host;
-  return out;
-}
-
 std::string FaultFabric::StatusLine() const {
   std::ostringstream out;
   out << "seed=" << seed_ << " loss=" << plan_.drop
@@ -310,14 +261,12 @@ circus::StatusOr<std::string> FaultFabric::ApplyCommand(
     if (!arg.ok()) {
       return arg.status();
     }
-    uint64_t seed = 0;
-    const std::string& s = *arg;
-    auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), seed);
-    if (ec != std::errc() || p != s.data() + s.size()) {
-      return circus::Status(ErrorCode::kInvalidArgument,
-                            "bad seed: " + s);
+    circus::StatusOr<uint64_t> seed =
+        circus::ParseInt<uint64_t>("seed", *arg);
+    if (!seed.ok()) {
+      return circus::Status(ErrorCode::kInvalidArgument, "bad seed: " + *arg);
     }
-    Reseed(seed);
+    Reseed(*seed);
     return std::string("ok");
   }
   if (verb == "loss" || verb == "dup" || verb == "reorder") {
@@ -359,8 +308,14 @@ circus::StatusOr<std::string> FaultFabric::ApplyCommand(
   if (verb == "partition") {
     std::vector<NetAddress> island;
     for (const std::string& token : rest_tokens()) {
-      std::optional<NetAddress> a = ParseEndpoint(token);
-      if (!a.has_value()) {
+      // "a.b.c.d:port", or "port" / ":port" meaning 127.0.0.1; never
+      // port 0.
+      const size_t colon = token.find(':');
+      circus::StatusOr<NetAddress> a = ParseNetAddress(
+          colon == std::string::npos ? "127.0.0.1:" + token
+          : colon == 0               ? "127.0.0.1" + token
+                                     : token);
+      if (!a.ok() || a->port == 0) {
         return circus::Status(ErrorCode::kInvalidArgument,
                               "bad endpoint: " + token);
       }

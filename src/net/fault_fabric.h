@@ -104,8 +104,8 @@ class FaultFabric : public Fabric {
   // endpoint (mirroring the introspect protocol):
   //   status                      -> one-line settings + counters
   //   seed N | loss P | dup P | reorder P | delay_ms F | jitter_ms F
-  //   partition ADDR...           ADDR = "a.b.c.d:port" or bare "port"
-  //                               (bare ports mean 127.0.0.1)
+  //   partition ADDR...           ADDR = "a.b.c.d:port", "port" or
+  //                               ":port" (bare ports mean 127.0.0.1)
   //   heal                        -> lift all partitions
   //   clear                       -> reset the plan and heal
   // Returns the reply text ("ok" for setters) or kInvalidArgument.
@@ -119,10 +119,6 @@ class FaultFabric : public Fabric {
   void set_decision_log(std::vector<std::string>* log) {
     decision_log_ = log;
   }
-
-  // "a.b.c.d:port", or a bare port meaning 127.0.0.1. Exposed for the
-  // fault-control endpoint and the nemesis, which share the format.
-  static std::optional<NetAddress> ParseEndpoint(std::string_view text);
 
  protected:
   circus::StatusOr<NetAddress> Bind(DatagramSocket* socket,

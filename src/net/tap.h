@@ -2,7 +2,7 @@
 // carries — in both directions, with a clock-seam timestamp — into a
 // bounded JSONL capture. The same tap serves the simulated Network and
 // the real-time rt::UdpFabric, so a capture from either can be decoded
-// and audited by the same tooling (src/obs/wire.h, circus_wire).
+// and audited by the same tooling (src/obs/wire.h, `circus wire`).
 //
 // A capture is a JSONL file: a header object first ({"tap":
 // "circus-wire", ...} with the tapping process's identity and clock

@@ -3,7 +3,7 @@
 // A shard is a JSONL file — a header object first ({"shard":
 // "circus-trace", ...} with the node's identity and incarnation), then
 // one event per line in the canonical EventToJson rendering. Each
-// circus_node writes its own shard; circus_trace_merge (and the
+// circus_node writes its own shard; `circus merge` (and the
 // functions in src/obs/merge.h) join N shards from N processes into one
 // Chrome trace, correlating by the propagated Section 3.4.1 thread ID.
 //

@@ -529,13 +529,18 @@ AuditReport AuditRecords(const std::vector<net::WirePacket>& records,
 }
 
 circus::StatusOr<AuditReport> AuditCaptureFiles(
-    const std::vector<std::string>& paths, const AuditOptions& options) {
+    const std::vector<std::string>& paths, const AuditOptions& options,
+    std::vector<WireSegment>* decoded) {
   WireAuditor auditor(options);
   for (const std::string& path : paths) {
     circus::StatusOr<net::WireCaptureFile> capture =
         net::ReadWireCaptureFile(path);
     if (!capture.ok()) {
       return capture.status();
+    }
+    if (decoded != nullptr) {
+      std::vector<WireSegment> part = DecodeRecords(capture->records, nullptr);
+      decoded->insert(decoded->end(), part.begin(), part.end());
     }
     auditor.AddCapture(*capture);
   }

@@ -216,10 +216,12 @@ class WireAuditor {
 AuditReport AuditRecords(const std::vector<net::WirePacket>& records,
                          const AuditOptions& options, bool complete = true);
 
-// Convenience: read and audit capture files together (the circus_wire
-// CLI path). Fails if any file cannot be read or is not a capture.
+// Convenience: read and audit capture files together (`circus wire`,
+// circus_nemesis). Fails if any file cannot be read or is not a capture.
+// With `decoded`, every decodable record is also appended there.
 circus::StatusOr<AuditReport> AuditCaptureFiles(
-    const std::vector<std::string>& paths, const AuditOptions& options);
+    const std::vector<std::string>& paths, const AuditOptions& options,
+    std::vector<WireSegment>* decoded = nullptr);
 
 }  // namespace circus::obs::wire
 

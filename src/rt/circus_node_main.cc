@@ -10,7 +10,7 @@
 //
 // Every node is observable while it runs (DESIGN.md Section 6): with
 // stats_port= it answers metrics/health/spans/latency datagrams, with
-// trace_dir= it streams its event shard to disk for circus_trace_merge,
+// trace_dir= it streams its event shard to disk for `circus merge`,
 // and with slow_call_us= it dumps every call slower than the threshold
 // to the shard as a slow_call event. SIGINT and SIGTERM shut the node
 // down gracefully — final metrics snapshot and trace shard flushed

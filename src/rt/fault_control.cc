@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/common/log.h"
+#include "src/rt/introspect_client.h"
 
 namespace circus::rt {
 namespace {
@@ -49,11 +50,7 @@ std::string FaultControl::HandleCommand(std::string_view command) {
     reply += '\n';
   }
   // One datagram per reply, same framing discipline as introspect.
-  if (reply.size() > net::Fabric::kMaxDatagramBytes) {
-    reply.resize(net::Fabric::kMaxDatagramBytes - 4);
-    reply += "...\n";
-  }
-  return reply;
+  return TruncatedReply(std::move(reply));
 }
 
 }  // namespace circus::rt

@@ -7,90 +7,16 @@
 #include <cstdio>
 #include <utility>
 
+#include "src/common/parse.h"
 #include "src/marshal/marshal.h"
 #include "src/msg/segment.h"
 #include "src/obs/export.h"
 #include "src/obs/trace.h"
+#include "src/rt/introspect_client.h"
 
 namespace circus::rt {
 
 namespace {
-
-// Replies must fit one datagram so `nc -u` conversations always work.
-constexpr size_t kMaxReplyBytes = net::Fabric::kMaxDatagramBytes;
-
-std::string Truncated(std::string text) {
-  if (text.size() <= kMaxReplyBytes) {
-    return text;
-  }
-  constexpr std::string_view kMark = "...\n";
-  text.resize(kMaxReplyBytes - kMark.size());
-  // Cut at a line boundary when there is one: consumers that validate
-  // line formats (check_realnet) must never see a half metric line.
-  const size_t last_newline = text.rfind('\n');
-  if (last_newline != std::string::npos) {
-    text.resize(last_newline + 1);
-  }
-  text += kMark;
-  return text;
-}
-
-// Paged reply framing: "chunk <offset> <next>\n" (next = "end" on the
-// last chunk) followed by the bytes of `text` starting at `offset`,
-// bounded to one datagram. Clients re-query with <next> and
-// concatenate the bodies to reassemble the full text.
-std::string Paged(const std::string& text, size_t offset) {
-  if (offset > text.size()) {
-    offset = text.size();
-  }
-  char header[64];
-  size_t body = text.size() - offset;
-  int header_len = 0;
-  for (;;) {
-    const size_t next = offset + body;
-    header_len =
-        next == text.size()
-            ? std::snprintf(header, sizeof(header), "chunk %zu end\n", offset)
-            : std::snprintf(header, sizeof(header), "chunk %zu %zu\n", offset,
-                            next);
-    if (static_cast<size_t>(header_len) + body <= kMaxReplyBytes) {
-      break;
-    }
-    // Shrinking the body can only shrink the header, so this converges.
-    body = kMaxReplyBytes - static_cast<size_t>(header_len);
-  }
-  std::string reply(header, static_cast<size_t>(header_len));
-  reply.append(text, offset, body);
-  return reply;
-}
-
-// Strictly parses the decimal offset of a paged query form.
-bool ParseOffset(std::string_view s, size_t* out) {
-  if (s.empty() || s.size() > 12) {
-    return false;
-  }
-  size_t value = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    value = value * 10 + static_cast<size_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
-std::string_view TrimView(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t' ||
-                        s.front() == '\r' || s.front() == '\n')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' ||
-                        s.back() == '\r' || s.back() == '\n')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
 
 sim::Task<void> ServeStats(NodeObservability* node,
                            net::DatagramSocket* socket) {
@@ -385,46 +311,38 @@ void NodeObservability::FinalFlush() {
 }
 
 std::string NodeObservability::HandleQuery(std::string_view query) {
-  const std::string_view q = TrimView(query);
-  if (q == "metrics") {
-    return Truncated(MetricsText());
-  }
-  if (q == "health") {
-    return Truncated(HealthText());
-  }
-  if (q == "spans") {
-    return Truncated(SpansText());
-  }
-  if (q == "latency") {
-    return Truncated(LatencyText());
-  }
-  if (q == "util") {
-    return Truncated(UtilText());
-  }
+  const std::string_view q = circus::Trim(query);
   const struct {
-    std::string_view prefix;
+    std::string_view name;
     std::string (NodeObservability::*text)() const;
-  } kPagedQueries[] = {
-      {"metrics ", &NodeObservability::MetricsText},
-      {"spans ", &NodeObservability::SpansText},
-      {"latency ", &NodeObservability::LatencyText},
-      {"util ", &NodeObservability::UtilText},
+  } kQueries[] = {
+      {"metrics", &NodeObservability::MetricsText},
+      {"health", &NodeObservability::HealthText},
+      {"spans", &NodeObservability::SpansText},
+      {"latency", &NodeObservability::LatencyText},
+      {"util", &NodeObservability::UtilText},
   };
-  for (const auto& paged : kPagedQueries) {
-    if (!q.starts_with(paged.prefix)) {
+  for (const auto& [name, text] : kQueries) {
+    if (q == name) {
+      return TruncatedReply((this->*text)());
+    }
+    // Every query but health also has the paged form `<query> <offset>`.
+    if (name == "health" || !q.starts_with(name) ||
+        !q.substr(name.size()).starts_with(' ')) {
       continue;
     }
-    size_t offset = 0;
-    if (!ParseOffset(TrimView(q.substr(paged.prefix.size())), &offset)) {
+    const circus::StatusOr<size_t> offset =
+        circus::ParseInt<size_t>("offset", circus::Trim(q.substr(name.size())));
+    if (!offset.ok()) {
       return "err bad offset (try: metrics <offset> | spans <offset> | "
              "latency <offset> | util <offset>)\n";
     }
-    return Paged((this->*paged.text)(), offset);
+    return PagedReply((this->*text)(), *offset);
   }
   std::string reply = "err unknown query '";
   reply.append(q.substr(0, 32));
   reply += "' (try: metrics | health | spans | latency | util)\n";
-  return Truncated(std::move(reply));
+  return TruncatedReply(std::move(reply));
 }
 
 std::string NodeObservability::MetricsText() const {

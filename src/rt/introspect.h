@@ -22,14 +22,11 @@
 //    Replies are truncated to one datagram (net::Fabric MTU) so the
 //    endpoint can be driven with nothing more than netcat. Replies too
 //    large for one datagram are readable in full through the paged
-//    forms `<query> <offset>` (any query above except health): the
-//    reply's first
-//    line is `chunk <offset> <next>` (next = "end" on the last chunk)
-//    and the rest is the bytes of the full text starting at <offset> —
-//    re-query with <next> until "end" and concatenate;
+//    forms `<query> <offset>` (any query above except health), in the
+//    `chunk` framing that introspect_client.h defines and reads;
 //  * a net::Fabric packet tap mirroring every datagram this process
 //    sends or receives into <tap_dir>/<node_name>.tap.jsonl when the
-//    config sets tap_dir= (decoded and audited by circus_wire).
+//    config sets tap_dir= (decoded and audited by `circus wire`).
 //
 // The serve loop runs as a coroutine on the node's host, so a host
 // crash reaps it exactly like any protocol task.
@@ -96,7 +93,7 @@ class NodeObservability {
 
   obs::ShardWriter& shard() { return *shard_; }
   // The node's USE-method utilization monitor (always attached; the
-  // `util` query, the health `load` grade, and circus_top read it).
+  // `util` query, the health `load` grade, and `circus top` read it).
   obs::UtilizationMonitor& util() { return monitor_; }
 
   // Samples every utilization probe at the runtime's current time. The

@@ -33,11 +33,8 @@
 // Usage (key=value arguments, all optional):
 //   circus_nemesis seed=7 dir=/tmp/run bin=build/src/rt/circus_node \
 //       members=3 horizon_s=25 actions=6 base_port=38400 json=out.json
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <signal.h>
-#include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <time.h>
@@ -57,10 +54,12 @@
 #include <vector>
 
 #include "src/chaos/schedule.h"
+#include "src/common/parse.h"
 #include "src/msg/paired_endpoint.h"
 #include "src/net/address.h"
 #include "src/obs/wire.h"
-#include "src/rt/node_config.h"
+#include "src/rt/introspect_client.h"
+#include "src/rt/runtime.h"
 #include "src/sim/time.h"
 
 namespace circus::rt {
@@ -88,35 +87,15 @@ void SleepMillis(int ms) {
 // is SIGKILLed, or the burst loss plan ate the control packet — which
 // is why control endpoints bind on the inner fabric, not the faulted
 // one).
-std::optional<std::string> UdpAsk(uint16_t port, const std::string& request,
-                                  int tries, int timeout_ms) {
-  const int fd = socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd < 0) {
-    return std::nullopt;
-  }
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in to{};
-  to.sin_family = AF_INET;
-  to.sin_port = htons(port);
-  to.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+std::optional<std::string> AskLocal(uint16_t port, const std::string& request,
+                                    int tries, int timeout_ms) {
+  IntrospectClient client;
   std::optional<std::string> reply;
-  for (int i = 0; i < tries && g_stop == 0; ++i) {
-    if (sendto(fd, request.data(), request.size(), 0,
-               reinterpret_cast<sockaddr*>(&to), sizeof(to)) < 0) {
-      SleepMillis(50);
-      continue;
-    }
-    char buf[2048];
-    const ssize_t n = recv(fd, buf, sizeof(buf), 0);
-    if (n >= 0) {
-      reply = std::string(buf, static_cast<size_t>(n));
-      break;
-    }
+  // One try at a time, so a stop signal ends the retries.
+  for (int i = 0; i < tries && g_stop == 0 && !reply.has_value(); ++i) {
+    reply = client.Ask(net::NetAddress{kLoopbackAddress, port}, request,
+                       timeout_ms);
   }
-  close(fd);
   return reply;
 }
 
@@ -283,7 +262,8 @@ void SendFault(const NodeProc& node, const std::string& command) {
   if (node.faults_port == 0 || node.pid <= 0) {
     return;
   }
-  std::optional<std::string> reply = UdpAsk(node.faults_port, command, 3, 400);
+  std::optional<std::string> reply =
+      AskLocal(node.faults_port, command, 3, 400);
   if (!reply.has_value()) {
     std::fprintf(stderr, "nemesis: no fault-control reply from %s for '%s'\n",
                  IncarnationName(node).c_str(), command.c_str());
@@ -328,7 +308,7 @@ bool WaitForHealth(const NodeProc& node, const std::string& needle,
   const int64_t deadline = MonotonicNanos() + int64_t{budget_ms} * 1000000;
   while (MonotonicNanos() < deadline && g_stop == 0) {
     std::optional<std::string> reply =
-        UdpAsk(node.stats_port, "health", 1, 300);
+        AskLocal(node.stats_port, "health", 1, 300);
     if (reply.has_value() && reply->find(needle) != std::string::npos &&
         reply->find("troupe unbound") == std::string::npos) {
       return true;
@@ -428,20 +408,21 @@ bool ParseArgs(int argc, char** argv, Options* out) {
     }
     const std::string key = arg.substr(0, eq);
     const std::string value = arg.substr(eq + 1);
+    circus::Status number;  // a bad numeric value
     if (key == "seed") {
-      out->seed = std::strtoull(value.c_str(), nullptr, 10);
+      number = circus::ParseCount(key, value, &out->seed);
+    } else if (key == "members") {
+      number = circus::ParseCount(key, value, &out->members);
+    } else if (key == "horizon_s") {
+      number = circus::ParseCount(key, value, &out->horizon_s);
+    } else if (key == "actions") {
+      number = circus::ParseCount(key, value, &out->actions);
+    } else if (key == "base_port") {
+      number = circus::ParseCount(key, value, &out->base_port);
     } else if (key == "dir") {
       out->dir = value;
     } else if (key == "bin") {
       out->bin = value;
-    } else if (key == "members") {
-      out->members = std::atoi(value.c_str());
-    } else if (key == "horizon_s") {
-      out->horizon_s = std::atoi(value.c_str());
-    } else if (key == "actions") {
-      out->actions = std::atoi(value.c_str());
-    } else if (key == "base_port") {
-      out->base_port = std::atoi(value.c_str());
     } else if (key == "json") {
       out->json = value;
     } else if (key == "workload") {
@@ -454,6 +435,10 @@ bool ParseArgs(int argc, char** argv, Options* out) {
       std::fprintf(stderr, "nemesis: unknown key '%s'\n", key.c_str());
       return false;
     }
+    if (!number.ok()) {
+      std::fprintf(stderr, "nemesis: %s\n", number.message().c_str());
+      return false;
+    }
   }
   if (out->members < 2 || out->members > 8) {
     std::fprintf(stderr, "nemesis: members must be in [2, 8]\n");
@@ -461,6 +446,13 @@ bool ParseArgs(int argc, char** argv, Options* out) {
   }
   if (out->horizon_s < 10 || out->actions < 1) {
     std::fprintf(stderr, "nemesis: want horizon_s >= 10 and actions >= 1\n");
+    return false;
+  }
+  // The testbed takes ports base_port .. base_port + 81 + members (node,
+  // stats and fault ports, plus the convergence verifiers).
+  if (out->base_port < 1 || out->base_port > 65535 - 81 - out->members) {
+    std::fprintf(stderr, "nemesis: base_port must be in [1, %d]\n",
+                 65535 - 81 - out->members);
     return false;
   }
   return true;

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "src/common/parse.h"
+
 namespace circus::rt {
 
 namespace {
@@ -11,64 +13,7 @@ circus::Status ParseError(const std::string& what) {
   return circus::Status(circus::ErrorCode::kInvalidArgument, what);
 }
 
-// Trims ASCII whitespace from both ends.
-std::string Trim(const std::string& s) {
-  size_t b = s.find_first_not_of(" \t\r\n");
-  if (b == std::string::npos) {
-    return "";
-  }
-  size_t e = s.find_last_not_of(" \t\r\n");
-  return s.substr(b, e - b + 1);
-}
-
-circus::StatusOr<int> ParseInt(const std::string& key,
-                               const std::string& value) {
-  try {
-    size_t consumed = 0;
-    int v = std::stoi(value, &consumed);
-    if (consumed != value.size()) {
-      return ParseError(key + ": trailing junk in '" + value + "'");
-    }
-    return v;
-  } catch (const std::exception&) {
-    return ParseError(key + ": not a number: '" + value + "'");
-  }
-}
-
 }  // namespace
-
-circus::StatusOr<net::NetAddress> ParseNetAddress(const std::string& text) {
-  const size_t colon = text.rfind(':');
-  if (colon == std::string::npos) {
-    return ParseError("address '" + text + "' missing ':port'");
-  }
-  circus::StatusOr<int> port = ParseInt("port", text.substr(colon + 1));
-  if (!port.ok()) {
-    return port.status();
-  }
-  if (*port < 0 || *port > 65535) {
-    return ParseError("port out of range in '" + text + "'");
-  }
-  uint32_t host = 0;
-  int octets = 0;
-  std::istringstream ip(text.substr(0, colon));
-  std::string part;
-  while (std::getline(ip, part, '.')) {
-    circus::StatusOr<int> octet = ParseInt("ip octet", part);
-    if (!octet.ok()) {
-      return octet.status();
-    }
-    if (*octet < 0 || *octet > 255) {
-      return ParseError("bad IPv4 octet in '" + text + "'");
-    }
-    host = (host << 8) | static_cast<uint32_t>(*octet);
-    ++octets;
-  }
-  if (octets != 4) {
-    return ParseError("'" + text + "' is not dotted-quad IPv4");
-  }
-  return net::NetAddress{host, static_cast<net::Port>(*port)};
-}
 
 circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text) {
   NodeConfig config;
@@ -82,7 +27,7 @@ circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text) {
     if (size_t hash = line.find('#'); hash != std::string::npos) {
       line = line.substr(0, hash);
     }
-    line = Trim(line);
+    line = std::string(circus::Trim(line));
     if (line.empty()) {
       continue;
     }
@@ -91,8 +36,9 @@ circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text) {
       return ParseError("line " + std::to_string(lineno) +
                         ": expected key = value");
     }
-    const std::string key = Trim(line.substr(0, eq));
-    const std::string value = Trim(line.substr(eq + 1));
+    const std::string key(circus::Trim(line.substr(0, eq)));
+    const std::string value(circus::Trim(line.substr(eq + 1)));
+    circus::Status status;
     if (key == "role") {
       if (value == "ringmaster") {
         config.role = NodeConfig::Role::kRingmaster;
@@ -103,20 +49,13 @@ circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text) {
       } else {
         return ParseError("unknown role '" + value + "'");
       }
-    } else if (key == "listen") {
-      circus::StatusOr<net::NetAddress> addr = ParseNetAddress(value);
+    } else if (key == "listen" || key == "ringmaster") {
+      circus::StatusOr<net::NetAddress> addr = net::ParseNetAddress(value);
       if (!addr.ok()) {
         return addr.status();
       }
-      config.listen = *addr;
-      have_listen = true;
-    } else if (key == "ringmaster") {
-      circus::StatusOr<net::NetAddress> addr = ParseNetAddress(value);
-      if (!addr.ok()) {
-        return addr.status();
-      }
-      config.ringmaster = *addr;
-      have_ringmaster = true;
+      (key == "listen" ? config.listen : config.ringmaster) = *addr;
+      (key == "listen" ? have_listen : have_ringmaster) = true;
     } else if (key == "troupe") {
       config.troupe = value;
     } else if (key == "interface") {
@@ -127,32 +66,18 @@ circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text) {
       config.trace_dir = value;
     } else if (key == "tap_dir") {
       config.tap_dir = value;
-    } else if (key == "stats_port" || key == "faults_port") {
-      circus::StatusOr<int> v = ParseInt(key, value);
-      if (!v.ok()) {
-        return v.status();
-      }
-      if (*v < 0 || *v > 65535) {
-        return ParseError(key + " out of range");
-      }
-      (key == "stats_port" ? config.stats_port : config.faults_port) =
-          static_cast<net::Port>(*v);
+    } else if (key == "stats_port") {
+      status = circus::ParseCount(key, value, &config.stats_port);
+    } else if (key == "faults_port") {
+      status = circus::ParseCount(key, value, &config.faults_port);
     } else if (key == "fault_seed") {
-      try {
-        size_t consumed = 0;
-        config.fault_seed = std::stoull(value, &consumed);
-        if (consumed != value.size()) {
-          return ParseError("fault_seed: trailing junk in '" + value + "'");
-        }
-      } catch (const std::exception&) {
-        return ParseError("fault_seed: not a number: '" + value + "'");
+      status = circus::ParseCount(key, value, &config.fault_seed);
+    } else if (key == "resilient" || key == "verify") {
+      circus::StatusOr<int> flag = circus::ParseInt(key, value);
+      if (!flag.ok()) {
+        return flag.status();
       }
-    } else if (key == "resilient") {
-      circus::StatusOr<int> v = ParseInt(key, value);
-      if (!v.ok()) {
-        return v.status();
-      }
-      config.resilient = *v != 0;
+      (key == "resilient" ? config.resilient : config.verify) = *flag != 0;
     } else if (key == "collation") {
       if (value != "unanimous" && value != "first_come" &&
           value != "majority") {
@@ -164,44 +89,23 @@ circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text) {
         return ParseError("workload must be echo|replfs");
       }
       config.workload = value;
-    } else if (key == "verify") {
-      circus::StatusOr<int> v = ParseInt(key, value);
-      if (!v.ok()) {
-        return v.status();
-      }
-      config.verify = *v != 0;
     } else if (key == "procedure") {
-      circus::StatusOr<int> v = ParseInt(key, value);
-      if (!v.ok()) {
-        return v.status();
-      }
-      if (*v < 0 || *v > 65535) {
-        return ParseError("procedure out of range");
-      }
-      config.procedure = *v;
+      uint16_t procedure = 0;
+      status = circus::ParseCount(key, value, &procedure);
+      config.procedure = procedure;
     } else if (key == "slow_call_us") {
-      circus::StatusOr<int> v = ParseInt(key, value);
-      if (!v.ok()) {
-        return v.status();
-      }
-      if (*v < 0) {
-        return ParseError("slow_call_us must be non-negative");
-      }
-      config.slow_call_us = *v;
+      status = circus::ParseCount(key, value, &config.slow_call_us);
     } else if (key == "calls" || key == "payload" || key == "run_seconds") {
-      circus::StatusOr<int> v = ParseInt(key, value);
-      if (!v.ok()) {
-        return v.status();
-      }
-      if (*v < 0) {
-        return ParseError(key + " must be non-negative");
-      }
-      (key == "calls"     ? config.calls
-       : key == "payload" ? config.payload
-                          : config.run_seconds) = *v;
+      status = circus::ParseCount(key, value,
+                                  key == "calls"     ? &config.calls
+                                  : key == "payload" ? &config.payload
+                                                     : &config.run_seconds);
     } else {
       return ParseError("line " + std::to_string(lineno) +
                         ": unknown key '" + key + "'");
+    }
+    if (!status.ok()) {
+      return status;
     }
   }
   if (!have_listen) {

@@ -72,9 +72,6 @@ struct NodeConfig {
   const char* RoleName() const;
 };
 
-// "10.1.2.3:9000" -> NetAddress (host byte order).
-circus::StatusOr<net::NetAddress> ParseNetAddress(const std::string& text);
-
 // Parses config text; unknown keys are an error (they are typos).
 circus::StatusOr<NodeConfig> ParseNodeConfig(const std::string& text);
 

@@ -7,6 +7,7 @@
 // flight (the retransmit machinery must fail the call cleanly, and a
 // fresh client must get through once the partition heals).
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "src/net/fault_fabric.h"
 #include "src/net/socket.h"
 #include "src/net/world.h"
+#include "src/rt/node_config.h"
 #include "src/rt/runtime.h"
 #include "src/sim/task.h"
 
@@ -186,21 +188,65 @@ TEST(FaultFabricTest, ApplyCommandRejectsMalformedInput) {
   EXPECT_FALSE(fabric.partitioned());
 }
 
+// One IPv4 endpoint parser, net::ParseNetAddress, serves every caller,
+// and each keeps the forms it accepts: a node config's listen= (and
+// `circus wire --member`) takes exactly what the parser takes, while the
+// fault-command grammar also reads a bare port ("8123" or ":8123") as
+// 127.0.0.1 and never names port 0.
 TEST(FaultFabricTest, ParseEndpointForms) {
-  const std::optional<NetAddress> full =
-      FaultFabric::ParseEndpoint("10.1.2.3:9000");
-  ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(full->host, 0x0A010203u);
-  EXPECT_EQ(full->port, 9000);
-  const std::optional<NetAddress> bare = FaultFabric::ParseEndpoint("8123");
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_EQ(bare->host, 0x7F000001u);
-  EXPECT_EQ(bare->port, 8123);
-  EXPECT_FALSE(FaultFabric::ParseEndpoint("").has_value());
-  EXPECT_FALSE(FaultFabric::ParseEndpoint("10.1.2:9").has_value());
-  EXPECT_FALSE(FaultFabric::ParseEndpoint("1.2.3.4:").has_value());
-  EXPECT_FALSE(FaultFabric::ParseEndpoint("1.2.3.4:70000").has_value());
-  EXPECT_FALSE(FaultFabric::ParseEndpoint("words").has_value());
+  World world(1, sim::SyscallCostModel::Free());
+  FaultFabric fabric(&world.network(), &world.executor(), 1);
+  const auto check = [&fabric](const std::string& text, const char* address,
+                               const char* fault) {
+    SCOPED_TRACE(text);
+    const StatusOr<NetAddress> parsed = ParseNetAddress(text);
+    const StatusOr<rt::NodeConfig> config =
+        rt::ParseNodeConfig("role = ringmaster\nlisten = " + text + "\n");
+    ASSERT_EQ(parsed.ok(), address != nullptr) << parsed.status().ToString();
+    ASSERT_EQ(config.ok(), address != nullptr);
+    if (address != nullptr) {
+      EXPECT_EQ(parsed->ToString(), address);
+      EXPECT_EQ(config->listen, *parsed);
+    }
+    ASSERT_EQ(fabric.ApplyCommand("partition " + text).ok(), fault != nullptr);
+    if (fault != nullptr) {
+      EXPECT_NE(fabric.StatusLine().find(std::string("partition=[") + fault +
+                                         "]"),
+                std::string::npos);
+      EXPECT_EQ(*fabric.ApplyCommand("heal"), "ok");
+    }
+  };
+  // Text, as parsed (nullptr: rejected), as the fault grammar reads it.
+  check("10.1.2.3:9000", "10.1.2.3:9000", "10.1.2.3:9000");
+  check("255.255.255.255:65535", "255.255.255.255:65535",
+        "255.255.255.255:65535");
+  check("8123", nullptr, "127.0.0.1:8123");
+  check(":8123", nullptr, "127.0.0.1:8123");
+  check("127.0.0.1:0", "127.0.0.1:0", nullptr);
+  // Fields read as std::stoi reads them; the grammar splits on spaces.
+  check("127.0.0.1:+80", "127.0.0.1:80", "127.0.0.1:80");
+  check("+10.0.0.1:80", "10.0.0.1:80", "10.0.0.1:80");
+  check("127.0.0.1: 80", "127.0.0.1:80", nullptr);
+  check("1.2.3.4.:9", "1.2.3.4:9", "1.2.3.4:9");
+  for (const char* rejected :
+       {"0", ":0", "", "words", "10.1.2:9", "1.2.3.4.5:9", "1..2.3:9",
+        "1.2.3.:9", "1.2.3.4..:9", "1.2.3.256:9", "1.2.3.4:", "1.2.3.4:70000",
+        "127.0.0.1:80abc", "127.0.0.1:8 0", "127.0.0.1:+-80", "127.0.0.1:-1",
+        "::80"}) {
+    check(rejected, nullptr, nullptr);
+  }
+}
+
+// Node-config numbers are read by circus::ParseInt, signs included, and
+// resilient=/verify= are true for any nonzero integer.
+TEST(NodeConfigTest, NumbersAndFlags) {
+  const StatusOr<rt::NodeConfig> config = rt::ParseNodeConfig(
+      "role = ringmaster\nlisten = 127.0.0.1:9000\nresilient = -1\n"
+      "verify = +2\nstats_port = +80\n");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  EXPECT_TRUE(config->resilient && config->verify);
+  EXPECT_EQ(config->stats_port, 80);
+  EXPECT_FALSE(rt::ParseNodeConfig("role = ringmaster\nverify = 1x\n").ok());
 }
 
 // ------------------------------------------ faults under the protocol --

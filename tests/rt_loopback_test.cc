@@ -9,8 +9,8 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +28,7 @@
 #include "src/obs/trace.h"
 #include "src/rt/fault_control.h"
 #include "src/rt/introspect.h"
+#include "src/rt/introspect_client.h"
 #include "src/rt/node_config.h"
 #include "src/rt/runtime.h"
 #include "src/txn/commit.h"
@@ -429,11 +430,43 @@ Task<void> CallEchoOnce(RpcProcess* client, Troupe troupe,
   *done = true;
 }
 
+// An echo member watched by a NodeObservability built from `cfg`, and a
+// client that calls it: the setup of the introspection tests.
+struct ObservedEcho {
+  explicit ObservedEcho(const NodeConfig& cfg)
+      : member_host(runtime.AddHost("member")),
+        node_obs(&runtime, member_host, cfg),
+        member(MakeEchoProcess(&runtime, member_host, &module)),
+        client_host(runtime.AddHost("client")),
+        client(&runtime.fabric(), client_host, 0) {
+    member->SetTroupeId(TroupeId{99});
+    node_obs.SetProcess(member.get());
+    troupe.id = TroupeId{99};
+    troupe.members.push_back(member->module_address(module));
+  }
+
+  // One echo call; false when it did not complete within 30 s.
+  bool CallOnce() {
+    bool done = false;
+    client_host->Spawn(CallEchoOnce(&client, troupe, module, &done));
+    return runtime.RunUntil([&done] { return done; }, Duration::Seconds(30));
+  }
+
+  Runtime runtime;
+  sim::Host* member_host;
+  NodeObservability node_obs;
+  ModuleNumber module = 0;
+  std::unique_ptr<RpcProcess> member;
+  Troupe troupe;
+  sim::Host* client_host;
+  RpcProcess client;
+};
+
 // The acceptance scenario of the live-observability work: four nodes
 // (client + three troupe members) each record their own trace shard —
 // per-host filter and a distinct incarnation, exactly as four separate
 // circus_node processes would — one replicated call runs over real
-// loopback UDP, and circus_trace_merge's library joins the shards into
+// loopback UDP, and `circus merge`'s library joins the shards into
 // a single timeline where the call is one root span whose execute
 // children span every member.
 TEST(RtLoopbackTest, TracedReplicatedCallMergesIntoOneSpanTree) {
@@ -527,31 +560,15 @@ TEST(RtLoopbackTest, TracedReplicatedCallMergesIntoOneSpanTree) {
 // exact reply a stats datagram gets (the socket path itself is driven
 // end-to-end by scripts/check_realnet.sh against live circus_nodes).
 TEST(RtLoopbackTest, IntrospectionQueriesReportMetricsHealthAndSpans) {
-  Runtime runtime;
-  sim::Host* member_host = runtime.AddHost("member");
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
   cfg.listen = net::NetAddress{kLoopbackAddress, 39001};
   cfg.node_name = "observe-me";
   cfg.trace_dir = testing::TempDir();
-  NodeObservability node_obs(&runtime, member_host, cfg);
+  ObservedEcho echo(cfg);
+  NodeObservability& node_obs = echo.node_obs;
   ASSERT_TRUE(node_obs.status().ok()) << node_obs.status().ToString();
-
-  ModuleNumber module = 0;
-  std::unique_ptr<RpcProcess> member =
-      MakeEchoProcess(&runtime, member_host, &module);
-  member->SetTroupeId(TroupeId{99});
-  node_obs.SetProcess(member.get());
-
-  Troupe troupe;
-  troupe.id = TroupeId{99};
-  troupe.members.push_back(member->module_address(module));
-  sim::Host* client_host = runtime.AddHost("client");
-  RpcProcess client(&runtime.fabric(), client_host, 0);
-  bool done = false;
-  client_host->Spawn(CallEchoOnce(&client, troupe, module, &done));
-  ASSERT_TRUE(
-      runtime.RunUntil([&done] { return done; }, Duration::Seconds(30)));
+  ASSERT_TRUE(echo.CallOnce());
 
   const std::string metrics = node_obs.HandleQuery("metrics");
   EXPECT_NE(metrics.find("circus_rt_loop_wakeups_total"),
@@ -605,7 +622,7 @@ TEST(RtLoopbackTest, IntrospectionQueriesReportMetricsHealthAndSpans) {
       obs::ReadShardFile(ShardPathFor(cfg));
   ASSERT_TRUE(shard.ok()) << shard.status().ToString();
   EXPECT_EQ(shard->info.node, "observe-me");
-  EXPECT_EQ(shard->info.incarnation, runtime.incarnation());
+  EXPECT_EQ(shard->info.incarnation, echo.runtime.incarnation());
   EXPECT_FALSE(shard->events.empty());
   std::ifstream prom(MetricsPathFor(cfg));
   ASSERT_TRUE(prom.good());
@@ -618,32 +635,17 @@ TEST(RtLoopbackTest, IntrospectionQueriesReportMetricsHealthAndSpans) {
 // back in "chunk <offset> <next>" pieces that reassemble byte-exactly,
 // while the bare forms stay as they were (truncated with a marker).
 TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
-  Runtime runtime;
-  sim::Host* member_host = runtime.AddHost("member");
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
   cfg.listen = net::NetAddress{kLoopbackAddress, 39002};
   cfg.node_name = "pager";
-  NodeObservability node_obs(&runtime, member_host, cfg);
+  ObservedEcho echo(cfg);
+  NodeObservability& node_obs = echo.node_obs;
   ASSERT_TRUE(node_obs.status().ok()) << node_obs.status().ToString();
-
-  ModuleNumber module = 0;
-  std::unique_ptr<RpcProcess> member =
-      MakeEchoProcess(&runtime, member_host, &module);
-  member->SetTroupeId(TroupeId{99});
-  node_obs.SetProcess(member.get());
-  Troupe troupe;
-  troupe.id = TroupeId{99};
-  troupe.members.push_back(member->module_address(module));
-  sim::Host* client_host = runtime.AddHost("client");
-  RpcProcess client(&runtime.fabric(), client_host, 0);
   // Enough call trees that the rendered span forest needs several
   // datagrams.
   for (int i = 0; i < 40; ++i) {
-    bool done = false;
-    client_host->Spawn(CallEchoOnce(&client, troupe, module, &done));
-    ASSERT_TRUE(
-        runtime.RunUntil([&done] { return done; }, Duration::Seconds(30)));
+    ASSERT_TRUE(echo.CallOnce());
   }
 
   // The bare form still fits one datagram, by truncation.
@@ -652,67 +654,31 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
   constexpr std::string_view kMark = "...\n";
   ASSERT_TRUE(bare.ends_with(kMark)) << "spans text unexpectedly small";
 
-  // Page through the full text, reply by reply.
-  std::string assembled;
-  size_t offset = 0;
-  bool saw_end = false;
-  for (int guard = 0; guard < 100 && !saw_end; ++guard) {
-    const std::string reply =
-        node_obs.HandleQuery("spans " + std::to_string(offset));
-    ASSERT_LE(reply.size(), net::Fabric::kMaxDatagramBytes);
-    ASSERT_EQ(reply.rfind("chunk ", 0), 0u) << reply;
-    const size_t eol = reply.find('\n');
-    ASSERT_NE(eol, std::string::npos);
-    std::istringstream header(reply.substr(6, eol - 6));
-    size_t echoed_offset = 0;
-    std::string next;
-    header >> echoed_offset >> next;
-    ASSERT_EQ(echoed_offset, offset);
-    assembled += reply.substr(eol + 1);
-    if (next == "end") {
-      saw_end = true;
-    } else {
-      offset = std::stoul(next);
-      ASSERT_EQ(offset, assembled.size());
-    }
-  }
-  ASSERT_TRUE(saw_end);
+  // Page through the full text with the shared client, which checks
+  // each echoed offset and that each <next> continues the body.
+  const AskFn ask = [&node_obs](const std::string& query) {
+    std::string reply = node_obs.HandleQuery(query);
+    EXPECT_LE(reply.size(), net::Fabric::kMaxDatagramBytes) << query;
+    return std::optional<std::string>(std::move(reply));
+  };
+  const std::optional<std::string> assembled = AskPaged(ask, "spans");
+  ASSERT_TRUE(assembled.has_value());
   // Genuinely multi-datagram, and the truncated bare reply is a byte
   // prefix of the reassembled whole.
-  EXPECT_GT(assembled.size(), net::Fabric::kMaxDatagramBytes);
+  EXPECT_GT(assembled->size(), net::Fabric::kMaxDatagramBytes);
   const std::string prefix = bare.substr(0, bare.size() - kMark.size());
-  ASSERT_EQ(assembled.compare(0, prefix.size(), prefix), 0);
-  EXPECT_NE(assembled.find("call("), std::string::npos);
+  ASSERT_EQ(assembled->compare(0, prefix.size(), prefix), 0);
+  EXPECT_NE(assembled->find("call("), std::string::npos);
 
   // Metrics also outgrow one datagram now that histograms carry
   // cumulative bucket series; page them back together and check the
   // reassembly is the full exposition, buckets included.
-  std::string metrics_assembled;
-  offset = 0;
-  saw_end = false;
-  for (int guard = 0; guard < 100 && !saw_end; ++guard) {
-    const std::string reply =
-        node_obs.HandleQuery("metrics " + std::to_string(offset));
-    ASSERT_LE(reply.size(), net::Fabric::kMaxDatagramBytes);
-    ASSERT_EQ(reply.rfind("chunk ", 0), 0u) << reply;
-    const size_t eol = reply.find('\n');
-    ASSERT_NE(eol, std::string::npos);
-    std::istringstream header(reply.substr(6, eol - 6));
-    size_t echoed_offset = 0;
-    std::string next;
-    header >> echoed_offset >> next;
-    ASSERT_EQ(echoed_offset, offset);
-    metrics_assembled += reply.substr(eol + 1);
-    if (next == "end") {
-      saw_end = true;
-    } else {
-      offset = std::stoul(next);
-    }
-  }
-  ASSERT_TRUE(saw_end);
-  EXPECT_NE(metrics_assembled.find("_hist_bucket{le=\"+Inf\"}"),
+  const std::optional<std::string> metrics_assembled =
+      AskPaged(ask, "metrics");
+  ASSERT_TRUE(metrics_assembled.has_value());
+  EXPECT_NE(metrics_assembled->find("_hist_bucket{le=\"+Inf\"}"),
             std::string::npos);
-  EXPECT_NE(metrics_assembled.find("quantile=\"0.99\""), std::string::npos);
+  EXPECT_NE(metrics_assembled->find("quantile=\"0.99\""), std::string::npos);
   // The truncated bare form is a byte prefix of the reassembled whole.
   const std::string bare_metrics = node_obs.HandleQuery("metrics");
   ASSERT_LE(bare_metrics.size(), net::Fabric::kMaxDatagramBytes);
@@ -721,7 +687,7 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
           ? bare_metrics.substr(0, bare_metrics.size() - kMark.size())
           : bare_metrics;
   ASSERT_EQ(
-      metrics_assembled.compare(0, metrics_prefix.size(), metrics_prefix),
+      metrics_assembled->compare(0, metrics_prefix.size(), metrics_prefix),
       0);
 
   // The latency query serves the attributor's exposition through the
@@ -734,8 +700,8 @@ TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
 
   // Offsets past the end terminate; garbage offsets are an error.
   const std::string past =
-      node_obs.HandleQuery("spans " + std::to_string(assembled.size() + 999));
-  EXPECT_EQ(past, "chunk " + std::to_string(assembled.size()) + " end\n");
+      node_obs.HandleQuery("spans " + std::to_string(assembled->size() + 999));
+  EXPECT_EQ(past, "chunk " + std::to_string(assembled->size()) + " end\n");
   EXPECT_EQ(node_obs.HandleQuery("spans x").rfind("err bad offset", 0), 0u);
   EXPECT_EQ(node_obs.HandleQuery("util x").rfind("err bad offset", 0), 0u);
 }
@@ -764,30 +730,16 @@ class PagedPastEndTest : public testing::TestWithParam<bool> {};
 
 TEST_P(PagedPastEndTest, OffsetsPastEndOfDataTerminateWithEmptyChunk) {
   const bool through_fault_fabric = GetParam();
-  Runtime runtime;
-  sim::Host* node_host = runtime.AddHost("node");
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
   cfg.listen = net::NetAddress{kLoopbackAddress, 39050};
   cfg.node_name = "pastend";
   cfg.stats_port = through_fault_fabric ? 39052 : 39051;
-  NodeObservability node_obs(&runtime, node_host, cfg);
-  ASSERT_TRUE(node_obs.status().ok()) << node_obs.status().ToString();
-
-  ModuleNumber module = 0;
-  std::unique_ptr<RpcProcess> member =
-      MakeEchoProcess(&runtime, node_host, &module);
-  member->SetTroupeId(TroupeId{99});
-  node_obs.SetProcess(member.get());
-  Troupe troupe;
-  troupe.id = TroupeId{99};
-  troupe.members.push_back(member->module_address(module));
-  sim::Host* client_host = runtime.AddHost("client");
-  RpcProcess client(&runtime.fabric(), client_host, 0);
-  bool called = false;
-  client_host->Spawn(CallEchoOnce(&client, troupe, module, &called));
-  ASSERT_TRUE(
-      runtime.RunUntil([&called] { return called; }, Duration::Seconds(30)));
+  ObservedEcho echo(cfg);
+  ASSERT_TRUE(echo.node_obs.status().ok()) << echo.node_obs.status().ToString();
+  ASSERT_TRUE(echo.CallOnce());
+  Runtime& runtime = echo.runtime;
+  sim::Host* client_host = echo.client_host;
 
   net::FaultFabric fault_fabric(&runtime.fabric(), &runtime.executor(), 7);
   net::Fabric* query_fabric =
@@ -811,17 +763,12 @@ TEST_P(PagedPastEndTest, OffsetsPastEndOfDataTerminateWithEmptyChunk) {
     // Anything at or past the text size clamps to "empty final chunk".
     std::string reply;
     ASSERT_TRUE(ask(query + " 99999999", &reply));
-    ASSERT_EQ(reply.rfind("chunk ", 0), 0u) << reply;
-    const size_t eol = reply.find('\n');
-    ASSERT_NE(eol, std::string::npos) << reply;
-    EXPECT_EQ(eol + 1, reply.size()) << "past-end chunk has a body: "
+    const std::optional<Chunk> chunk = ParseChunk(reply);
+    ASSERT_TRUE(chunk.has_value()) << reply;
+    EXPECT_TRUE(chunk->body.empty()) << "past-end chunk has a body: "
                                      << reply;
-    size_t clamped = 0;
-    char next[16] = {0};
-    ASSERT_EQ(std::sscanf(reply.c_str(), "chunk %zu %15s", &clamped, next),
-              2)
-        << reply;
-    EXPECT_STREQ(next, "end") << reply;
+    EXPECT_FALSE(chunk->next.has_value()) << reply;  // "end"
+    const size_t clamped = chunk->offset;
     EXPECT_GT(clamped, 0u) << query << " text is empty";
 
     // Re-asking at the clamped offset is well-framed too. (The reply
