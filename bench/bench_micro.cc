@@ -2,8 +2,9 @@
 // the reproduction, using google-benchmark: the stub compiler front end
 // and back end (Table 7.1's pipeline), the externalization layer
 // (Figure 7.1), the segment codec (Figure 4.2), and the simulation
-// kernel's event throughput. Unlike the table/figure benches these
-// measure this implementation's own speed, not simulated time.
+// kernel's event throughput, alone and beside a deep timer heap. Unlike
+// the table/figure benches these measure this implementation's own
+// speed, not simulated time.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -119,6 +120,28 @@ void BM_ExecutorEventThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_ExecutorEventThroughput);
+
+// The event mix the rt runtime actually has: a deep heap of far-future
+// timers (each served call holds a 60 s inbound-retention timer) beside
+// a stream of zero-delay coroutine resumes, each scheduled and run at
+// once. One item is one schedule/run pair.
+void BM_ExecutorZeroDelayBesideDeepHeap(benchmark::State& state) {
+  circus::sim::Executor executor;
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    executor.ScheduleAfter(circus::sim::Duration::Seconds(60) +
+                               circus::sim::Duration::Micros(i),
+                           [] {});
+  }
+  int counter = 0;
+  for (auto _ : state) {
+    executor.ScheduleAfter(circus::sim::Duration::Zero(),
+                           [&counter] { ++counter; });
+    executor.RunOne();
+  }
+  benchmark::DoNotOptimize(counter);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ExecutorZeroDelayBesideDeepHeap)->Arg(100000);
 
 // Mirrors each google-benchmark run into the shared BENCH_micro.json
 // report (one "micro" table row per benchmark) while keeping the usual

@@ -38,7 +38,11 @@ done
 #   tools     the circus subcommands, run as child processes (built with
 #             ASan too) on a sim run's shards and capture, plus the
 #             introspection client against live UDP sockets.
-for label in wire chaos_rt apps obs tools; do
+#   executor  the executor's slot vector (a cancelled or run event's slot
+#             is reused under a new generation; a stale id must never
+#             reach the new callback) and the rt loop and fabric that
+#             pump it, including the batched recvmmsg drain.
+for label in wire chaos_rt apps obs tools executor; do
   if ! ctest --test-dir build-asan -L "$label" --output-on-failure \
       >/dev/null; then
     echo "FAIL: ctest -L $label under ASan"
@@ -50,4 +54,4 @@ if [ "$failures" -ne 0 ]; then
   echo "check_asan: $failures test binary(ies) failed" >&2
   exit 1
 fi
-echo "check_asan: all test binaries clean under ASan (incl. ctest -L wire/chaos_rt/apps/obs/tools)"
+echo "check_asan: all test binaries clean under ASan (incl. ctest -L wire/chaos_rt/apps/obs/tools/executor)"

@@ -74,7 +74,7 @@ enum class EventKind : uint8_t {
 
   // --- rt: real-runtime diagnostics (only published by src/rt) ---
   kLoopWakeup,            // epoll wakeup (a = ready fds, b = 1 if the
-                          // timer fired, c = timer slack vs. deadline, ns)
+                          // deadline had passed, c = slack past it, ns)
   kSocketStall,           // sendto hit EAGAIN/ENOBUFS backpressure
                           // (a = packed destination, c = errno)
 

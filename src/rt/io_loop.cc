@@ -1,7 +1,7 @@
 #include "src/rt/io_loop.h"
 
 #include <sys/epoll.h>
-#include <sys/timerfd.h>
+#include <sys/prctl.h>
 #include <time.h>
 #include <unistd.h>
 
@@ -31,12 +31,11 @@ int64_t IoLoop::MonotonicNanos() {
 IoLoop::IoLoop(sim::Executor* executor) : executor_(executor) {
   epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
   CIRCUS_CHECK_MSG(epoll_fd_ >= 0, "epoll_create1 failed");
-  timer_fd_ = timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
-  CIRCUS_CHECK_MSG(timer_fd_ >= 0, "timerfd_create failed");
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = timer_fd_;
-  CIRCUS_CHECK(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &ev) == 0);
+  // The kernel defers a timed epoll wait by the thread's timer slack
+  // (50 us by default, more for long waits) to batch wakeups. The loop
+  // sleeps to exact virtual deadlines, so ask for none.
+  CIRCUS_CHECK_MSG(prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL) == 0,
+                   "prctl(PR_SET_TIMERSLACK) failed");
 
   // Seed the virtual clock from the wall-clock epoch (see header).
   const sim::TimePoint epoch = sim::TimePoint::FromNanos(RealtimeNanos());
@@ -48,9 +47,6 @@ IoLoop::IoLoop(sim::Executor* executor) : executor_(executor) {
 }
 
 IoLoop::~IoLoop() {
-  if (timer_fd_ >= 0) {
-    close(timer_fd_);
-  }
   if (epoll_fd_ >= 0) {
     close(epoll_fd_);
   }
@@ -95,24 +91,12 @@ void IoLoop::SetObservability(obs::EventBus* bus,
   }
 }
 
-void IoLoop::ArmTimer(sim::TimePoint wake) {
-  armed_wake_ = wake;
-  int64_t delta_ns = (wake - WallNow()).nanos();
-  if (delta_ns < 1) {
-    delta_ns = 1;  // 0 would disarm the timer
-  }
-  itimerspec its{};
-  its.it_value.tv_sec = delta_ns / 1000000000;
-  its.it_value.tv_nsec = delta_ns % 1000000000;
-  CIRCUS_CHECK(timerfd_settime(timer_fd_, 0, &its, nullptr) == 0);
-}
-
 bool IoLoop::RunUntil(const std::function<bool()>& done,
                       sim::Duration wall_timeout) {
   stop_ = false;
   const sim::TimePoint deadline = WallNow() + wall_timeout;
   // Work/idle attribution: everything between epoll returns is work
-  // (due events, done checks, fd callbacks); the epoll_wait itself is
+  // (due events, done checks, fd callbacks); the epoll wait itself is
   // idle. `mark` carries the boundary across iterations.
   int64_t mark = MonotonicNanos();
   while (!stop_) {
@@ -130,44 +114,45 @@ bool IoLoop::RunUntil(const std::function<bool()>& done,
         next.has_value() && *next < wake) {
       wake = *next;
     }
-    ArmTimer(wake);
     const int64_t wait_start = MonotonicNanos();
     const int64_t work_ns = wait_start - mark;
     stats_.busy_ns += work_ns;
     if (iter_us_ != nullptr) {
       iter_us_->Observe(static_cast<double>(work_ns) / 1000.0);
     }
+    // The wait is bounded by the next live deadline, to the nanosecond;
+    // a deadline already past polls without blocking.
+    int64_t timeout_ns = (wake - WallNow()).nanos();
+    if (timeout_ns < 0) {
+      timeout_ns = 0;
+    }
+    const timespec timeout{
+        .tv_sec = static_cast<time_t>(timeout_ns / 1000000000),
+        .tv_nsec = static_cast<long>(timeout_ns % 1000000000)};
     epoll_event events[16];
-    const int n = epoll_wait(epoll_fd_, events,
-                             static_cast<int>(std::size(events)), -1);
+    const int n =
+        epoll_pwait2(epoll_fd_, events, static_cast<int>(std::size(events)),
+                     &timeout, nullptr);
     mark = MonotonicNanos();
     stats_.idle_ns += mark - wait_start;
     if (n < 0) {
-      CIRCUS_CHECK_MSG(errno == EINTR, "epoll_wait failed");
+      CIRCUS_CHECK_MSG(errno == EINTR, "epoll_pwait2 failed");
       continue;
     }
     ++stats_.wakeups;
-    bool timer_fired = false;
-    int ready_fds = 0;
-    for (int i = 0; i < n; ++i) {
-      if (events[i].data.fd == timer_fd_) {
-        timer_fired = true;
-      } else {
-        ++ready_fds;
-      }
-    }
-    stats_.fd_events += static_cast<uint64_t>(ready_fds);
-    int64_t slack_ns = 0;
+    stats_.fd_events += static_cast<uint64_t>(n);
+    // A timer fire is a wakeup whose deadline had passed by the time
+    // epoll returned, whether or not fds were ready too.
+    int64_t slack_ns = (WallNow() - wake).nanos();
+    const bool timer_fired = slack_ns >= 0;
     if (timer_fired) {
       ++stats_.timer_fires;
-      slack_ns = (WallNow() - armed_wake_).nanos();
-      if (slack_ns < 0) {
-        slack_ns = 0;
-      }
+    } else {
+      slack_ns = 0;
     }
     if (wakeups_ != nullptr) {
       wakeups_->Increment();
-      fd_events_->Add(static_cast<uint64_t>(ready_fds));
+      fd_events_->Add(static_cast<uint64_t>(n));
       if (timer_fired) {
         timer_slack_us_->Observe(static_cast<double>(slack_ns) / 1000.0);
       }
@@ -175,20 +160,13 @@ bool IoLoop::RunUntil(const std::function<bool()>& done,
     if (bus_ != nullptr && bus_->active()) {
       obs::Event e;
       e.kind = obs::EventKind::kLoopWakeup;
-      e.a = static_cast<uint64_t>(ready_fds);
+      e.a = static_cast<uint64_t>(n);
       e.b = timer_fired ? 1 : 0;
       e.c = static_cast<uint64_t>(slack_ns);
       bus_->Publish(std::move(e));
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
-      if (fd == timer_fd_) {
-        uint64_t expirations = 0;
-        // Drain; the only purpose was to bound the epoll_wait.
-        [[maybe_unused]] ssize_t r =
-            read(timer_fd_, &expirations, sizeof(expirations));
-        continue;
-      }
       // Re-look up per event: an earlier callback in this batch (or the
       // callback itself) may have unwatched the fd. Copy out so that
       // UnwatchFd from inside the callback cannot free the closure

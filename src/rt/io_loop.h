@@ -1,9 +1,13 @@
 // The real-time pump for the discrete-event executor. The simulator's
 // entire concurrency model is "callbacks ordered by a virtual clock";
 // IoLoop replays that model against the wall clock: it runs every event
-// whose virtual deadline has passed, arms a timerfd for the next pending
-// deadline, and sleeps in epoll(7) until either the timer fires or a
-// watched file descriptor (a real UDP socket) becomes readable. The loop
+// whose virtual deadline has passed, then sleeps in epoll_pwait2(2) with
+// a nanosecond timeout to the next live deadline, until either that
+// deadline passes or a watched file descriptor (a real UDP socket)
+// becomes readable. Cancelled events never bound the wait, and a wakeup
+// costs the one epoll_pwait2 call: there is no timer fd to rearm or
+// read. The constructor sets the calling thread's timer slack to 1 ns,
+// so the kernel does not defer those timeouts to batch wakeups. The loop
 // is single-threaded by construction — coroutines, channels, and hosts
 // keep exactly the semantics they have under the simulator, so every
 // CLAUDE.md coroutine convention carries over unchanged.
@@ -31,13 +35,14 @@ namespace circus::rt {
 
 // Cumulative loop accounting for the utilization telemetry: wall time
 // split into work (running due events + fd callbacks) and idle (blocked
-// in epoll_wait). busy / (busy + idle) is the loop's utilization.
+// in epoll_pwait2). busy / (busy + idle) is the loop's utilization.
 struct IoLoopStats {
   uint64_t wakeups = 0;      // epoll returns
   uint64_t fd_events = 0;    // readable fds handed to callbacks
-  uint64_t timer_fires = 0;  // wakeups where the armed timerfd expired
-  int64_t busy_ns = 0;       // outside epoll_wait
-  int64_t idle_ns = 0;       // inside epoll_wait
+  uint64_t timer_fires = 0;  // wakeups where the deadline had passed
+                             // when epoll returned
+  int64_t busy_ns = 0;       // outside epoll_pwait2
+  int64_t idle_ns = 0;       // inside epoll_pwait2
 };
 
 class IoLoop {
@@ -73,20 +78,19 @@ class IoLoop {
 
   // Wires the loop to the runtime's observability hub. Each epoll
   // wakeup bumps rt.loop.wakeups / rt.loop.fd_events and, when the
-  // timerfd fired, records the timer's slack (how late the loop woke
-  // relative to the armed deadline) in rt.loop.timer_slack_us; with an
-  // active bus each wakeup also publishes a kLoopWakeup event.
+  // deadline it waited for had passed, records the timer's slack (how
+  // late the loop woke relative to that deadline) in
+  // rt.loop.timer_slack_us; with an active bus each wakeup also
+  // publishes a kLoopWakeup event.
   void SetObservability(obs::EventBus* bus, obs::MetricsRegistry* metrics);
 
   const IoLoopStats& stats() const { return stats_; }
 
  private:
-  void ArmTimer(sim::TimePoint wake);
   static int64_t MonotonicNanos();
 
   sim::Executor* executor_;
   int epoll_fd_ = -1;
-  int timer_fd_ = -1;
   // Anchor of the virtual<->wall mapping.
   sim::TimePoint sim_origin_;
   int64_t mono_origin_ns_ = 0;
@@ -97,7 +101,6 @@ class IoLoop {
   obs::Counter* fd_events_ = nullptr;
   obs::Histogram* timer_slack_us_ = nullptr;
   obs::Histogram* iter_us_ = nullptr;  // per-iteration work-phase time
-  sim::TimePoint armed_wake_;  // deadline behind the armed timerfd
   IoLoopStats stats_;
 };
 

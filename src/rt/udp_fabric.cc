@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -221,28 +222,46 @@ void UdpFabric::DrainFd(net::DatagramSocket* socket) {
   }
   const int fd = it->second.fd;
   const net::NetAddress local = it->second.local;
-  // Oversized buffer so an over-MTU datagram is detected, not split.
-  unsigned char buf[kMaxDatagramBytes + 1];
+  // One recvmmsg per batch. Oversized buffers so an over-MTU datagram is
+  // detected, not split.
+  constexpr unsigned kBatch = 16;
+  unsigned char bufs[kBatch][kMaxDatagramBytes + 1];
+  iovec iovs[kBatch];
+  sockaddr_in sources[kBatch];
+  mmsghdr msgs[kBatch];
   for (;;) {
-    sockaddr_in sa{};
-    socklen_t sa_len = sizeof(sa);
-    const ssize_t n = recvfrom(fd, buf, sizeof(buf), 0,
-                               reinterpret_cast<sockaddr*>(&sa), &sa_len);
+    for (unsigned i = 0; i < kBatch; ++i) {
+      iovs[i] = iovec{bufs[i], sizeof(bufs[i])};
+      msgs[i] = mmsghdr{};
+      msgs[i].msg_hdr.msg_name = &sources[i];
+      msgs[i].msg_hdr.msg_namelen = sizeof(sources[i]);
+      msgs[i].msg_hdr.msg_iov = &iovs[i];
+      msgs[i].msg_hdr.msg_iovlen = 1;
+    }
+    const int n = recvmmsg(fd, msgs, kBatch, 0, nullptr);
     if (n < 0) {
       // EAGAIN: drained. Anything else: treat like a lost datagram.
       return;
     }
-    if (static_cast<size_t>(n) > kMaxDatagramBytes) {
-      ++stats_.truncated;
-      continue;
+    for (int i = 0; i < n; ++i) {
+      const size_t len = msgs[i].msg_len;
+      if (len > kMaxDatagramBytes) {
+        ++stats_.truncated;
+        continue;
+      }
+      ++stats_.packets_delivered;
+      stats_.bytes_delivered += len;
+      net::Datagram d;
+      d.source = FromSockaddr(sources[i]);
+      d.destination = local;
+      d.payload.assign(bufs[i], bufs[i] + len);
+      Deliver(socket, std::move(d));
     }
-    ++stats_.packets_delivered;
-    stats_.bytes_delivered += static_cast<uint64_t>(n);
-    net::Datagram d;
-    d.source = FromSockaddr(sa);
-    d.destination = local;
-    d.payload.assign(buf, buf + n);
-    Deliver(socket, std::move(d));
+    // A short batch means the queue was empty; the fd is level-triggered,
+    // so epoll reports anything that arrived since.
+    if (static_cast<unsigned>(n) < kBatch) {
+      return;
+    }
   }
 }
 

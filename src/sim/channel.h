@@ -46,6 +46,9 @@ class Channel {
       state->settled = true;
       *r.slot = std::move(value);
       Executor* ex = executor();
+      if (r.timer != 0) {
+        ex->Cancel(r.timer);  // settled: the timeout can no longer matter
+      }
       ex->ScheduleAfter(Duration::Zero(), [state] { state->handle.resume(); });
       return;
     }
@@ -78,6 +81,7 @@ class Channel {
   struct Receiver {
     std::weak_ptr<WaitState> state;
     std::shared_ptr<std::optional<T>> slot;
+    uint64_t timer = 0;  // the timeout's executor event; 0 if none
   };
 
   Executor* executor() const {
@@ -113,10 +117,11 @@ class Channel {
           return;  // host went down between ready and suspend (defensive)
         }
       }
-      channel_->receivers_.push_back(Receiver{state_, slot_});
+      Receiver& receiver =
+          channel_->receivers_.emplace_back(Receiver{state_, slot_});
       if (timeout_.has_value()) {
         std::shared_ptr<WaitState> s = state_;
-        channel_->executor()->ScheduleAfter(*timeout_, [s] {
+        receiver.timer = channel_->executor()->ScheduleAfter(*timeout_, [s] {
           if (s->settled) {
             return;
           }

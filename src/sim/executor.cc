@@ -1,5 +1,6 @@
 #include "src/sim/executor.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -11,54 +12,110 @@ uint64_t Executor::ScheduleAt(TimePoint when, std::function<void()> fn) {
   if (when < now_) {
     when = now_;
   }
-  const uint64_t id = next_id_++;
-  queue_.push(Event{when, next_seq_++, id});
-  callbacks_.emplace(id, std::move(fn));
+  uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  slots_[slot].fn = std::move(fn);
+  const uint64_t id =
+      static_cast<uint64_t>(slots_[slot].generation) << 32 | slot;
+  ++live_events_;
+  const Event ev{when, next_seq_++, id};
+  if (when == now_) {
+    ready_.push_back(ev);
+  } else {
+    timers_.push_back(ev);
+    std::push_heap(timers_.begin(), timers_.end(), EventLater{});
+  }
   return id;
 }
 
-void Executor::Cancel(uint64_t id) {
-  auto it = callbacks_.find(id);
-  if (it != callbacks_.end()) {
-    callbacks_.erase(it);
-    cancelled_.insert(id);
+void Executor::Retire(Slot& slot) {
+  // Generation 0 is skipped on wraparound so that no id is ever 0.
+  if (++slot.generation == 0) {
+    slot.generation = 1;
   }
+  --live_events_;
+}
+
+void Executor::Cancel(uint64_t id) {
+  if (SlotOf(id) >= slots_.size()) {
+    return;
+  }
+  Slot& slot = slots_[SlotOf(id)];
+  if (slot.generation != GenerationOf(id)) {
+    return;
+  }
+  Retire(slot);
+  slot.fn = nullptr;
+}
+
+const Executor::Event* Executor::Head() {
+  while (ready_head_ < ready_.size() && !Live(ready_[ready_head_])) {
+    Pop(&ready_[ready_head_]);
+  }
+  while (!timers_.empty() && !Live(timers_.front())) {
+    Pop(&timers_.front());
+  }
+  const Event* ready =
+      ready_head_ < ready_.size() ? &ready_[ready_head_] : nullptr;
+  const Event* timer = timers_.empty() ? nullptr : &timers_.front();
+  if (ready == nullptr) {
+    return timer;
+  }
+  if (timer == nullptr) {
+    return ready;
+  }
+  return EventLater{}(*ready, *timer) ? timer : ready;
+}
+
+void Executor::Pop(const Event* head) {
+  free_slots_.push_back(SlotOf(head->id));
+  if (ready_head_ < ready_.size() && head == &ready_[ready_head_]) {
+    if (++ready_head_ == ready_.size()) {
+      ready_.clear();
+      ready_head_ = 0;
+    }
+    return;
+  }
+  std::pop_heap(timers_.begin(), timers_.end(), EventLater{});
+  timers_.pop_back();
+}
+
+void Executor::Run(const Event* head) {
+  const TimePoint when = head->when;
+  Slot& slot = slots_[SlotOf(head->id)];
+  // Move the callback out first: it may schedule, which can reallocate
+  // slots_ and the queues.
+  std::function<void()> fn = std::move(slot.fn);
+  slot.fn = nullptr;
+  Retire(slot);
+  Pop(head);
+  CIRCUS_CHECK(when >= now_);
+  now_ = when;
+  ++events_run_;
+  fn();
 }
 
 bool Executor::RunOne() {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
-    auto cancelled_it = cancelled_.find(ev.id);
-    if (cancelled_it != cancelled_.end()) {
-      cancelled_.erase(cancelled_it);
-      continue;
-    }
-    auto it = callbacks_.find(ev.id);
-    CIRCUS_CHECK(it != callbacks_.end());
-    std::function<void()> fn = std::move(it->second);
-    callbacks_.erase(it);
-    CIRCUS_CHECK(ev.when >= now_);
-    now_ = ev.when;
-    ++events_run_;
-    fn();
-    return true;
+  const Event* head = Head();
+  if (head == nullptr) {
+    return false;
   }
-  return false;
+  Run(head);
+  return true;
 }
 
 std::optional<TimePoint> Executor::NextEventTime() {
-  while (!queue_.empty()) {
-    const Event& ev = queue_.top();
-    auto cancelled_it = cancelled_.find(ev.id);
-    if (cancelled_it == cancelled_.end()) {
-      return ev.when;
-    }
-    // Lazily discard cancelled tombstones so they do not pin the timer.
-    cancelled_.erase(cancelled_it);
-    queue_.pop();
+  const Event* head = Head();
+  if (head == nullptr) {
+    return std::nullopt;
   }
-  return std::nullopt;
+  return head->when;
 }
 
 void Executor::RunUntilIdle() {
@@ -67,14 +124,9 @@ void Executor::RunUntilIdle() {
 }
 
 void Executor::RunUntil(TimePoint deadline) {
-  while (!queue_.empty()) {
-    Event ev = queue_.top();
-    if (ev.when > deadline) {
-      break;
-    }
-    if (!RunOne()) {
-      break;
-    }
+  for (const Event* head = Head(); head != nullptr && head->when <= deadline;
+       head = Head()) {
+    Run(head);
   }
   if (now_ < deadline) {
     now_ = deadline;

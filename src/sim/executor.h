@@ -1,6 +1,15 @@
 // The discrete-event executor: a virtual clock plus a time-ordered queue
 // of callbacks. All coroutine resumptions are scheduled through it, so the
 // entire simulation executes as a flat, deterministic event loop.
+//
+// Events live in two queues ordered by (when, seq), seq being the
+// scheduling order. Most events are zero-delay coroutine resumes, due at
+// now(); those go to a FIFO, which is already in (when, seq) order
+// because the clock never runs backwards. Future events go to a binary
+// heap, which on the rt runtime holds every long retention timer. The
+// next event is the earlier of the two queue heads, so events run in
+// exactly the order one merged queue would give them. Callbacks live in
+// a slot vector indexed by event id; no event costs a hash lookup.
 #ifndef SRC_SIM_EXECUTOR_H_
 #define SRC_SIM_EXECUTOR_H_
 
@@ -8,9 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/task.h"
@@ -27,14 +33,19 @@ class Executor {
   TimePoint now() const { return now_; }
 
   // Schedules `fn` to run at simulated time `when` (clamped to now()).
-  // Events at equal times run in scheduling order. Returns an id usable
-  // with Cancel().
+  // Events at equal times run in scheduling order. Returns a nonzero id
+  // usable with Cancel().
   uint64_t ScheduleAt(TimePoint when, std::function<void()> fn);
   uint64_t ScheduleAfter(Duration delay, std::function<void()> fn) {
     return ScheduleAt(now_ + delay, std::move(fn));
   }
 
-  // Lazily cancels a scheduled event; a no-op if it already ran.
+  // Cancels a scheduled event and releases its callback at once. A no-op
+  // if the event already ran or was cancelled, even after its slot has
+  // been reused: an id is `generation << 32 | slot`, and the slot's
+  // generation moves on when its event runs or is cancelled. The
+  // cancelled event's queue entry stays behind and is discarded when it
+  // reaches the head of its queue.
   void Cancel(uint64_t id);
 
   // Runs the earliest pending event; returns false if none remain.
@@ -46,15 +57,17 @@ class Executor {
   void RunUntil(TimePoint deadline);
   void RunFor(Duration d) { RunUntil(now_ + d); }
 
-  size_t pending_events() const { return queue_.size() - cancelled_.size(); }
+  // Scheduled events that have neither run nor been cancelled.
+  size_t pending_events() const { return live_events_; }
 
   // Total events dispatched by RunOne — with pending_events(), the
   // run-queue side of the utilization telemetry (src/obs/util.h).
   uint64_t events_run() const { return events_run_; }
 
   // Time of the earliest pending (non-cancelled) event, or nullopt when
-  // the queue is empty. Used by the real-time runtime to arm its timer:
-  // the wall-clock IoLoop sleeps exactly until the next virtual deadline.
+  // the queue is empty. Used by the real-time runtime to bound its
+  // epoll wait: the wall-clock IoLoop sleeps exactly until the next
+  // virtual deadline.
   std::optional<TimePoint> NextEventTime();
 
   // Starts a detached coroutine. The coroutine begins running immediately
@@ -84,8 +97,6 @@ class Executor {
   }
 
  private:
-  friend struct DetachedRunner;
-
   struct Event {
     TimePoint when;
     uint64_t seq;
@@ -99,13 +110,43 @@ class Executor {
       return a.seq > b.seq;
     }
   };
+  // A callback's home. `generation` is the high half of the id of the
+  // event currently using the slot; it changes when that event runs or is
+  // cancelled, so a queue entry whose id no longer matches is dead.
+  struct Slot {
+    std::function<void()> fn;
+    uint32_t generation = 1;
+  };
+
+  static uint32_t SlotOf(uint64_t id) { return static_cast<uint32_t>(id); }
+  static uint32_t GenerationOf(uint64_t id) {
+    return static_cast<uint32_t>(id >> 32);
+  }
+  bool Live(const Event& ev) const {
+    return slots_[SlotOf(ev.id)].generation == GenerationOf(ev.id);
+  }
+  // Retires the slot's current id so that Cancel and Live see it as gone.
+  void Retire(Slot& slot);
+  // Discards dead entries at both queue heads, then returns the earliest
+  // live event, or null when none remain. The pointer is valid until the
+  // next schedule or pop.
+  const Event* Head();
+  // Removes the event Head() returned from its queue and frees its slot.
+  void Pop(const Event* head);
+  // Pops the live event Head() returned and runs it.
+  void Run(const Event* head);
 
   TimePoint now_;
   uint64_t next_seq_ = 0;
-  uint64_t next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
-  std::unordered_map<uint64_t, std::function<void()>> callbacks_;
-  std::unordered_set<uint64_t> cancelled_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  // Events due at their scheduling instant, in (when, seq) order; the
+  // live part starts at ready_head_.
+  std::vector<Event> ready_;
+  size_t ready_head_ = 0;
+  // Future events: a min-heap under EventLater.
+  std::vector<Event> timers_;
+  size_t live_events_ = 0;
   int64_t live_detached_ = 0;
   uint64_t events_run_ = 0;
 };

@@ -5,6 +5,7 @@
 // it crosses the simulated Network or real UDP.
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "src/net/socket.h"
 #include "src/net/world.h"
 #include "src/rt/runtime.h"
+#include "src/sim/channel.h"
 #include "src/sim/task.h"
 #include "tests/test_util.h"
 
@@ -84,6 +86,64 @@ TEST(RtFabricTest, ReceivedDatagramCarriesRealSourceAddress) {
   // finds its peer, so the kernel-reported source must equal the
   // sender's bound address.
   EXPECT_EQ(seen_source, a.local_address());
+}
+
+// A backlog longer than one receive batch on a single fd: the drain must
+// keep reading batches until the queue is empty, and hand the datagrams
+// on in arrival order.
+TEST(RtFabricTest, BacklogBeyondOneBatchIsDeliveredCompletelyInOrder) {
+  constexpr int kCount = 40;  // more than two 16-datagram batches
+  Runtime runtime;
+  sim::Host* a_host = runtime.AddHost("a");
+  sim::Host* b_host = runtime.AddHost("b");
+  DatagramSocket a(&runtime.fabric(), a_host, 0);
+  DatagramSocket b(&runtime.fabric(), b_host, 0);
+  // Queue the whole backlog in the kernel before the loop first runs.
+  for (int i = 0; i < kCount; ++i) {
+    ASSERT_TRUE(
+        a.SendRaw(b.local_address(), BytesFromString(std::to_string(i)))
+            .ok());
+  }
+  std::vector<std::string> received;
+  b_host->Spawn([](DatagramSocket* s, int count,
+                   std::vector<std::string>* out) -> Task<void> {
+    for (int i = 0; i < count; ++i) {
+      net::Datagram d = co_await s->Receive();
+      out->push_back(StringFromBytes(d.payload));
+    }
+  }(&b, kCount, &received));
+  ASSERT_TRUE(runtime.RunUntil(
+      [&received] { return received.size() == kCount; },
+      Duration::Seconds(10)));
+  std::vector<std::string> expected;
+  for (int i = 0; i < kCount; ++i) {
+    expected.push_back(std::to_string(i));
+  }
+  EXPECT_EQ(received, expected);
+  EXPECT_EQ(runtime.fabric().stats().packets_delivered,
+            static_cast<uint64_t>(kCount));
+}
+
+// ------------------------------------------------------- loop wakeups --
+
+// A receive that a value settles at once cancels its timeout, so the
+// loop never wakes for it: over a 1.5 s run the only timer fire is the
+// run's own deadline, not the dead 1 s timeout.
+TEST(RtFabricTest, SettledReceiveTimeoutDoesNotWakeTheLoop) {
+  Runtime runtime;
+  sim::Host* host = runtime.AddHost("h");
+  sim::Channel<int> channel(host);
+  std::optional<int> got;
+  host->Spawn([](sim::Channel<int>* c, std::optional<int>* out)
+                  -> Task<void> {
+    *out = co_await c->ReceiveWithTimeout(Duration::Seconds(1));
+  }(&channel, &got));
+  channel.Send(7);
+  const IoLoopStats before = runtime.loop().stats();
+  runtime.RunFor(Duration::Millis(1500));
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(*got, 7);
+  EXPECT_EQ(runtime.loop().stats().timer_fires - before.timer_fires, 1u);
 }
 
 // --------------------------------------------- emulated multicast fanout --

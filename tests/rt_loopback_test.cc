@@ -64,6 +64,10 @@ struct RingmasterNode {
   Troupe bootstrap;
 };
 
+// Fixed ports in this file stay below 32768, under Linux's default
+// ephemeral range (32768-60999) and UdpFabric's (49152-65535): there, a
+// socket another test binds to port 0 under `ctest -j` could take the
+// port first.
 RingmasterNode MakeRingmaster(Runtime* runtime, net::Port port) {
   RingmasterNode node;
   sim::Host* host = runtime->AddHost("ringmaster");
@@ -120,7 +124,7 @@ std::unique_ptr<Member> MakeMember(Runtime* runtime,
 
 TEST(RtLoopbackTest, ReplicatedCallAndReconfiguration) {
   Runtime runtime;
-  RingmasterNode ring = MakeRingmaster(&runtime, 38017);
+  RingmasterNode ring = MakeRingmaster(&runtime, 28017);
 
   std::vector<std::unique_ptr<Member>> members;
   Troupe troupe;
@@ -342,7 +346,7 @@ Task<void> RunCommitDriver(RpcProcess* process,
 
 TEST(RtLoopbackTest, TroupeCommitOverRealUdp) {
   Runtime runtime;
-  RingmasterNode ring = MakeRingmaster(&runtime, 38018);
+  RingmasterNode ring = MakeRingmaster(&runtime, 28018);
 
   // Three transactional members, registered as one troupe.
   std::vector<std::unique_ptr<RpcProcess>> processes;
@@ -562,7 +566,7 @@ TEST(RtLoopbackTest, TracedReplicatedCallMergesIntoOneSpanTree) {
 TEST(RtLoopbackTest, IntrospectionQueriesReportMetricsHealthAndSpans) {
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
-  cfg.listen = net::NetAddress{kLoopbackAddress, 39001};
+  cfg.listen = net::NetAddress{kLoopbackAddress, 29001};
   cfg.node_name = "observe-me";
   cfg.trace_dir = testing::TempDir();
   ObservedEcho echo(cfg);
@@ -637,7 +641,7 @@ TEST(RtLoopbackTest, IntrospectionQueriesReportMetricsHealthAndSpans) {
 TEST(RtLoopbackTest, PagedIntrospectionReassemblesOversizeSpansReply) {
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
-  cfg.listen = net::NetAddress{kLoopbackAddress, 39002};
+  cfg.listen = net::NetAddress{kLoopbackAddress, 29002};
   cfg.node_name = "pager";
   ObservedEcho echo(cfg);
   NodeObservability& node_obs = echo.node_obs;
@@ -732,9 +736,9 @@ TEST_P(PagedPastEndTest, OffsetsPastEndOfDataTerminateWithEmptyChunk) {
   const bool through_fault_fabric = GetParam();
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
-  cfg.listen = net::NetAddress{kLoopbackAddress, 39050};
+  cfg.listen = net::NetAddress{kLoopbackAddress, 29050};
   cfg.node_name = "pastend";
-  cfg.stats_port = through_fault_fabric ? 39052 : 39051;
+  cfg.stats_port = through_fault_fabric ? 29052 : 29051;
   ObservedEcho echo(cfg);
   ASSERT_TRUE(echo.node_obs.status().ok()) << echo.node_obs.status().ToString();
   ASSERT_TRUE(echo.CallOnce());
@@ -804,13 +808,17 @@ INSTANTIATE_TEST_SUITE_P(Fabrics, PagedPastEndTest, testing::Bool(),
 // retransmissions of its predecessor's.
 TEST(RtLoopbackTest, RebootedMemberRejoinsDespitePeerDuplicateSuppression) {
   Runtime runtime;
-  RingmasterNode ring = MakeRingmaster(&runtime, 38021);
+  RingmasterNode ring = MakeRingmaster(&runtime, 28021);
 
+  // member1 is rebooted on its own port, which nobody holds between the
+  // crash and the reboot. So that port is fixed and below both ephemeral
+  // ranges: a concurrent test's port-0 socket, allocated by UdpFabric
+  // (which scans up from 49152) or by the kernel, could take it there.
   std::vector<std::unique_ptr<Member>> members;
   Troupe troupe;
   for (int i = 0; i < 2; ++i) {
-    members.push_back(
-        MakeMember(&runtime, "member" + std::to_string(i), ring.bootstrap));
+    members.push_back(MakeMember(&runtime, "member" + std::to_string(i),
+                                 ring.bootstrap, i == 1 ? 28022 : 0));
     troupe.members.push_back(
         members[i]->process->module_address(members[i]->module));
   }
@@ -914,7 +922,7 @@ TEST(RtLoopbackTest, StatsPortBindConflictSurfacesFatalStatus) {
   net::DatagramSocket squatter(&runtime.fabric(), host, 0);
   NodeConfig cfg;
   cfg.role = NodeConfig::Role::kMember;
-  cfg.listen = net::NetAddress{kLoopbackAddress, 39010};
+  cfg.listen = net::NetAddress{kLoopbackAddress, 29010};
   cfg.node_name = "conflict";
   cfg.stats_port = squatter.local_address().port;
   NodeObservability node_obs(&runtime, host, cfg);

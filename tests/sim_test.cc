@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/sim/channel.h"
@@ -107,6 +108,74 @@ TEST(ExecutorTest, NestedSchedulingFromCallback) {
   ex.RunUntilIdle();
   EXPECT_EQ(hits, 2);
   EXPECT_EQ(ex.now().nanos(), Duration::Millis(2).nanos());
+}
+
+// Zero-delay events go to the ready FIFO and future events to the timer
+// heap; at one instant they must still interleave in scheduling order,
+// including events scheduled from callbacks at that instant.
+TEST(ExecutorTest, ReadyAndTimerEventsAtOneInstantRunInSchedulingOrder) {
+  Executor ex;
+  std::vector<std::string> order;
+  const TimePoint t = TimePoint() + Duration::Millis(10);
+  ex.ScheduleAt(t, [&] {
+    order.push_back("a");
+    ex.ScheduleAfter(Duration::Zero(), [&] { order.push_back("c"); });
+    ex.ScheduleAt(t, [&] {
+      order.push_back("d");
+      ex.ScheduleAfter(Duration::Zero(), [&] { order.push_back("f"); });
+    });
+  });
+  ex.ScheduleAt(t, [&] {
+    order.push_back("b");
+    // In the past: clamped to now() and queued behind c and d.
+    ex.ScheduleAt(TimePoint(), [&] { order.push_back("e"); });
+  });
+  ex.ScheduleAfter(Duration::Zero(), [&] { order.push_back("z"); });
+  ex.RunUntilIdle();
+  EXPECT_EQ(order,
+            (std::vector<std::string>{"z", "a", "b", "c", "d", "e", "f"}));
+  EXPECT_EQ(ex.now(), t);
+}
+
+TEST(ExecutorTest, StaleCancelAfterSlotReuseIsNoOp) {
+  Executor ex;
+  int ran = 0;
+  const uint64_t first = ex.ScheduleAfter(Duration::Millis(1), [] {});
+  ex.RunUntilIdle();
+  const uint64_t second =
+      ex.ScheduleAfter(Duration::Millis(1), [&] { ++ran; });
+  EXPECT_NE(first, second);
+  ex.Cancel(first);  // already ran; its slot now belongs to `second`
+  EXPECT_EQ(ex.pending_events(), 1u);
+  ex.RunUntilIdle();
+  EXPECT_EQ(ran, 1);
+
+  // The same after a cancel: the cancelled id stays dead once its slot
+  // is reused.
+  const uint64_t cancelled = ex.ScheduleAfter(Duration::Millis(1), [] {});
+  ex.Cancel(cancelled);
+  ex.RunUntilIdle();
+  ex.ScheduleAfter(Duration::Millis(1), [&] { ++ran; });
+  ex.Cancel(cancelled);
+  ex.RunUntilIdle();
+  EXPECT_EQ(ran, 2);
+}
+
+TEST(ExecutorTest, CancelZeroDelayEventPreventsExecution) {
+  Executor ex;
+  bool ran = false;
+  auto captured = std::make_shared<int>(0);
+  std::weak_ptr<int> watch = captured;
+  const uint64_t id = ex.ScheduleAfter(
+      Duration::Zero(), [&ran, captured = std::move(captured)] { ran = true; });
+  EXPECT_EQ(ex.pending_events(), 1u);
+  ex.Cancel(id);
+  EXPECT_EQ(ex.pending_events(), 0u);
+  EXPECT_TRUE(watch.expired());  // the callback is released at once
+  EXPECT_FALSE(ex.NextEventTime().has_value());
+  ex.RunUntilIdle();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(ex.events_run(), 0u);
 }
 
 // ---------------------------------------------------------------- Task --
@@ -367,9 +436,14 @@ TEST(ChannelTest, ValueBeatsTimeout) {
     *out = co_await c->ReceiveWithTimeout(Duration::Millis(50));
   }(&ch, &got));
   ex.ScheduleAfter(Duration::Millis(1), [&] { ch.Send(5); });
-  ex.RunUntilIdle();
+  ex.RunUntil(TimePoint() + Duration::Millis(1));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, 5);
+  // The value settled the wait, so its timeout was cancelled: nothing is
+  // left to run, and the clock stays at the send instant.
+  EXPECT_EQ(ex.pending_events(), 0u);
+  ex.RunUntilIdle();
+  EXPECT_EQ(ex.now(), TimePoint() + Duration::Millis(1));
 }
 
 TEST(ChannelTest, CrashWakesReceiver) {
