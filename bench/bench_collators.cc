@@ -108,18 +108,6 @@ LatencyResult MeasureLatency(Collation collation, bool watchdog,
   return result;
 }
 
-const char* CollationName(Collation c) {
-  switch (c) {
-    case Collation::kUnanimous:
-      return "unanimous";
-    case Collation::kFirstCome:
-      return "first-come";
-    case Collation::kMajority:
-      return "majority";
-  }
-  return "?";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

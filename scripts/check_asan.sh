@@ -42,7 +42,12 @@ done
 #             is reused under a new generation; a stale id must never
 #             reach the new callback) and the rt loop and fabric that
 #             pump it, including the batched recvmmsg drain.
-for label in wire chaos_rt apps obs tools executor; do
+#   msg       the paired-message send loop and the per-member call legs:
+#             sender state lives by value in map nodes that suspended
+#             SendMessage coroutines reference across co_await, so an
+#             entry erased or replaced under a live sender is a
+#             use-after-free.
+for label in wire chaos_rt apps obs tools executor msg; do
   if ! ctest --test-dir build-asan -L "$label" --output-on-failure \
       >/dev/null; then
     echo "FAIL: ctest -L $label under ASan"
@@ -54,4 +59,4 @@ if [ "$failures" -ne 0 ]; then
   echo "check_asan: $failures test binary(ies) failed" >&2
   exit 1
 fi
-echo "check_asan: all test binaries clean under ASan (incl. ctest -L wire/chaos_rt/apps/obs/tools/executor)"
+echo "check_asan: all test binaries clean under ASan (incl. ctest -L wire/chaos_rt/apps/obs/tools/executor/msg)"

@@ -64,12 +64,6 @@ class Reconfigurer {
   // (maintained as members come and go).
   void Manage(const std::string& troupe_name, config::TroupeSpec spec,
               Launcher launcher);
-  // Records that `address` lives on `machine` (launch bookkeeping for
-  // pre-existing members).
-  void NoteMemberMachine(net::NetAddress address,
-                         config::MachineId machine) {
-    machine_of_[address] = machine;
-  }
 
   // One maintenance pass over the managed troupe. Also performs the
   // initial instantiation when the troupe does not exist yet.

@@ -231,12 +231,4 @@ uint64_t InvariantMonitor::TraceDigest() const {
   return h;
 }
 
-std::optional<int> InvariantMonitor::DamageIndex(int member_serial) const {
-  auto it = members_.find(member_serial);
-  if (it == members_.end()) {
-    return std::nullopt;
-  }
-  return it->second.damage;
-}
-
 }  // namespace circus::chaos

@@ -103,11 +103,6 @@ class InvariantMonitor {
   // byte-identical across runs iff the runs behaved identically.
   uint64_t TraceDigest() const;
 
-  // Damage indices per member serial (nullopt = never damaged); only
-  // meaningful after Finish(). Exposed for the harness's final
-  // agreement check and for tests.
-  std::optional<int> DamageIndex(int member_serial) const;
-
  private:
   struct IssuedCall {
     std::string thread_key;

@@ -85,16 +85,6 @@ void RpcProcess::SetStateProvider(ModuleNumber module,
   modules_[module].state_provider = std::move(provider);
 }
 
-std::optional<ModuleNumber> RpcProcess::FindModule(
-    const std::string& name) const {
-  for (size_t i = 0; i < modules_.size(); ++i) {
-    if (modules_[i].name == name) {
-      return static_cast<ModuleNumber>(i);
-    }
-  }
-  return std::nullopt;
-}
-
 void RpcProcess::InstallRuntimeModule() {
   // The runtime module is what the stub compiler would generate for
   // every server: set_troupe_id (Section 6.2), the null call used for
@@ -197,19 +187,14 @@ Task<circus::StatusOr<circus::Bytes>> RpcProcess::Call(
                    module, procedure, nullptr, msg_call);
   const sim::TimePoint fanout_start = host_->executor().now();
   ReplyStream stream(host_, static_cast<int>(server.members.size()));
-  if (opts.multicast_group.has_value()) {
-    co_await endpoint_->BlastMulticast(
-        net::NetAddress{*opts.multicast_group, 0}, msg::MessageType::kCall,
-        msg_call, encoded);
-    for (const ModuleAddress& member : server.members) {
-      host_->Spawn(AwaitMulticastReply(member, msg_call, encoded,
-                                       stream.shared_state()));
-    }
-  } else {
-    for (const ModuleAddress& member : server.members) {
-      host_->Spawn(
-          CallOneMember(member, msg_call, encoded, stream.shared_state()));
-    }
+  const bool multicast = opts.multicast_group.has_value();
+  if (multicast) {
+    co_await endpoint_->SendOnce(net::NetAddress{*opts.multicast_group, 0},
+                                 msg::MessageType::kCall, msg_call, encoded);
+  }
+  for (const ModuleAddress& member : server.members) {
+    host_->Spawn(CallMember(member, msg_call, encoded, multicast,
+                            stream.shared_state()));
   }
 
   circus::StatusOr<circus::Bytes> result =
@@ -248,39 +233,19 @@ Task<circus::StatusOr<circus::Bytes>> RpcProcess::Call(
   co_return result;
 }
 
-Task<void> RpcProcess::CallOneMember(
+Task<void> RpcProcess::CallMember(
     ModuleAddress member, uint32_t msg_call, circus::Bytes encoded,
+    bool multicast_sent,
     std::shared_ptr<internal::ReplyStreamState> stream_state) {
-  Status sent = co_await endpoint_->SendMessage(
-      member.process, msg::MessageType::kCall, msg_call, std::move(encoded));
-  if (!sent.ok()) {
-    stream_state->channel.Send(Reply{member, sent});
-    co_return;
+  std::optional<msg::Message> reply;
+  if (multicast_sent) {
+    // Optimistic phase: the single multicast transmission usually reaches
+    // the member and its return message doubles as the acknowledgment.
+    reply = co_await endpoint_->TryAwaitReturn(member.process, msg_call,
+                                               options_.multicast_fallback);
   }
-  circus::StatusOr<msg::Message> m =
-      co_await endpoint_->AwaitReturn(member.process, msg_call);
-  if (!m.ok()) {
-    stream_state->channel.Send(Reply{member, m.status()});
-    co_return;
-  }
-  std::optional<ReturnBody> ret = ReturnBody::Decode(m->data);
-  if (!ret.has_value()) {
-    stream_state->channel.Send(Reply{
-        member, Status(ErrorCode::kProtocolError, "bad return message")});
-    co_return;
-  }
-  stream_state->channel.Send(Reply{member, std::move(*ret).ToStatusOr()});
-}
-
-Task<void> RpcProcess::AwaitMulticastReply(
-    ModuleAddress member, uint32_t msg_call, circus::Bytes encoded,
-    std::shared_ptr<internal::ReplyStreamState> stream_state) {
-  // Optimistic phase: the single multicast transmission usually reaches
-  // the member and its return message doubles as the acknowledgment.
-  std::optional<msg::Message> quick = co_await endpoint_->TryAwaitReturn(
-      member.process, msg_call, options_.multicast_fallback);
-  if (!quick.has_value()) {
-    // Fall back to the reliable point-to-point path; the server
+  if (!reply.has_value()) {
+    // The reliable point-to-point path; after a multicast the server
     // suppresses the duplicate if the multicast did arrive.
     Status sent = co_await endpoint_->SendMessage(member.process,
                                                   msg::MessageType::kCall,
@@ -295,9 +260,9 @@ Task<void> RpcProcess::AwaitMulticastReply(
       stream_state->channel.Send(Reply{member, m.status()});
       co_return;
     }
-    quick = std::move(*m);
+    reply = std::move(*m);
   }
-  std::optional<ReturnBody> ret = ReturnBody::Decode(quick->data);
+  std::optional<ReturnBody> ret = ReturnBody::Decode(reply->data);
   if (!ret.has_value()) {
     stream_state->channel.Send(Reply{
         member, Status(ErrorCode::kProtocolError, "bad return message")});
@@ -393,11 +358,13 @@ Task<void> RpcProcess::DispatchLoop() {
         host_->Spawn(
             SendReturnTo(m.peer, m.call_number, *call->return_payload));
       } else if (options_.redeliver_duplicates_bug) {
-        // Planted bug: answer the duplicate again, with the buffered
-        // return mangled — call-number reuse the wire auditor must flag.
+        // Planted bug: answer the duplicate again, once and untracked,
+        // with the buffered return mangled — call-number reuse the wire
+        // auditor must flag.
         circus::Bytes mangled = *call->return_payload;
         mangled.push_back(0x5A);
-        host_->Spawn(SendReturnTo(m.peer, m.call_number, std::move(mangled)));
+        host_->Spawn(endpoint_->SendOnce(m.peer, msg::MessageType::kReturn,
+                                         m.call_number, std::move(mangled)));
       }
       continue;
     }

@@ -178,7 +178,6 @@ class RpcProcess {
   // state; acceptor internalizes it on a fresh member.
   void SetStateProvider(ModuleNumber module,
                         std::function<circus::Bytes()> provider);
-  std::optional<ModuleNumber> FindModule(const std::string& name) const;
 
   void SetTroupeId(TroupeId id) { troupe_id_ = id; }
   TroupeId troupe_id() const { return troupe_id_; }
@@ -255,12 +254,12 @@ class RpcProcess {
                                 CallBody first_body);
   sim::Task<void> SendReturnTo(net::NetAddress peer, uint32_t msg_call_number,
                                circus::Bytes payload);
-  sim::Task<void> CallOneMember(ModuleAddress member, uint32_t msg_call,
-                                circus::Bytes encoded,
-                                std::shared_ptr<internal::ReplyStreamState>
-                                    stream_state);
-  sim::Task<void> AwaitMulticastReply(
+  // One member's leg of a replicated call: send the call message (unless
+  // `multicast_sent` and the member answers within multicast_fallback),
+  // await the return and push the member's reply onto the stream.
+  sim::Task<void> CallMember(
       ModuleAddress member, uint32_t msg_call, circus::Bytes encoded,
+      bool multicast_sent,
       std::shared_ptr<internal::ReplyStreamState> stream_state);
   // Consumes the replies a first-come collation left behind and reports
   // agreement or disagreement through `report` (Section 4.3.4).

@@ -1,5 +1,6 @@
 #include "src/msg/paired_endpoint.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/check.h"
@@ -32,8 +33,7 @@ PairedEndpoint::PairedEndpoint(net::DatagramSocket* socket,
       options_(options),
       jitter_rng_(options.jitter_seed != 0 ? options.jitter_seed
                                            : DeriveJitterSeed(socket)),
-      incoming_calls_(
-          std::make_unique<sim::Channel<Message>>(socket->host())) {
+      incoming_calls_(socket->host()) {
   if (net::Fabric* fabric = socket->fabric(); fabric != nullptr) {
     bus_ = fabric->event_bus();
     if (obs::MetricsRegistry* metrics = fabric->metrics();
@@ -108,115 +108,87 @@ sim::Task<circus::Status> PairedEndpoint::SendMessage(net::NetAddress to,
                                                       MessageType type,
                                                       uint32_t call_number,
                                                       circus::Bytes data) {
-  std::vector<Segment> segments =
+  auto emplaced =
+      senders_.try_emplace(ExchangeKey{to, type, call_number}, host());
+  if (!emplaced.second) {
+    co_return Status(ErrorCode::kAlreadyExists,
+                     "message already in flight to " + to.ToString());
+  }
+  SenderState& state = emplaced.first->second;
+  state.segments =
       Segmentize(type, call_number, data, options_.segment_data_bytes);
-  const ExchangeKey key{to, type, call_number};
-  auto state = std::make_shared<SenderState>();
-  state->progress = std::make_unique<sim::Channel<uint32_t>>(host());
-  for (const Segment& s : segments) {
-    state->unacked.push_back(s);
-  }
-  senders_[key] = state;
-
+  const size_t total = state.segments.size();
+  // Circus transmits every segment up front. Xerox PARC RPC is the same
+  // loop with a window of one: each segment but the last asks for an
+  // explicit ack, and the next goes out once it arrives (Section 4.2.5).
+  const bool stop_and_wait =
+      options_.mode == EndpointOptions::Mode::kStopAndWait;
+  const size_t window = stop_and_wait ? 1 : total;
+  size_t sent = 0;
+  int retries = 0;
   Status result;
-  if (options_.mode == EndpointOptions::Mode::kSlidingWindow) {
-    // Circus: transmit every segment up front, then retransmit the first
-    // unacknowledged one periodically with please-ack set.
-    for (const Segment& s : segments) {
+  while (true) {
+    while (sent < total && sent < state.acked + window) {
+      Segment& s = state.segments[sent];
+      s.please_ack = stop_and_wait && sent + 1 < total;
       co_await TransmitSegment(to, s, false);
+      ++sent;
     }
-    int retries = 0;
-    while (!state->unacked.empty()) {
-      host()->ChargeSyscallInstant(Syscall::kSetITimer);
-      host()->ChargeSyscallInstant(Syscall::kGetTimeOfDay);
-      std::optional<uint32_t> progress =
-          co_await state->progress->ReceiveWithTimeout(
-              Jittered(options_.retransmit_interval));
-      if (progress.has_value()) {
-        retries = 0;
-        continue;
-      }
-      if (++retries > options_.max_retransmits) {
-        result = Status(ErrorCode::kCrashDetected,
-                        "no acknowledgment from " + to.ToString());
-        if (crash_detections_metric_ != nullptr) {
-          crash_detections_metric_->Increment();
-        }
-        PublishSegmentEvent(obs::EventKind::kPeerCrashDetected, to,
-                            call_number, 0);
-        break;
-      }
-      Segment again = state->unacked.front();
-      again.please_ack = true;
-      co_await TransmitSegment(to, again, true);
+    if (state.acked == total) {
+      break;
     }
-  } else {
-    // Xerox PARC RPC: explicit acknowledgment of every segment but the
-    // last, so at most one segment's worth of buffering per connection.
-    for (size_t i = 0; i < segments.size() && result.ok(); ++i) {
-      const bool last = (i + 1 == segments.size());
-      Segment s = segments[i];
-      if (!last) {
-        s.please_ack = true;
-      }
-      co_await TransmitSegment(to, s, false);
-      int attempts = 0;
-      while (!state->unacked.empty() &&
-             state->unacked.front().segment_number <= s.segment_number) {
-        host()->ChargeSyscallInstant(Syscall::kSetITimer);
-        host()->ChargeSyscallInstant(Syscall::kGetTimeOfDay);
-        std::optional<uint32_t> progress =
-            co_await state->progress->ReceiveWithTimeout(
-                Jittered(options_.retransmit_interval));
-        if (progress.has_value()) {
-          attempts = 0;
-          continue;
-        }
-        if (++attempts > options_.max_retransmits) {
-          result = Status(ErrorCode::kCrashDetected,
-                          "no acknowledgment from " + to.ToString());
-          if (crash_detections_metric_ != nullptr) {
-            crash_detections_metric_->Increment();
-          }
-          PublishSegmentEvent(obs::EventKind::kPeerCrashDetected, to,
-                              call_number, 0);
-          break;
-        }
-        Segment again = state->unacked.front();
-        again.please_ack = true;
-        co_await TransmitSegment(to, again, true);
-      }
+    host()->ChargeSyscallInstant(Syscall::kSetITimer);
+    host()->ChargeSyscallInstant(Syscall::kGetTimeOfDay);
+    std::optional<uint32_t> progress =
+        co_await state.progress.ReceiveWithTimeout(
+            Jittered(options_.retransmit_interval));
+    if (progress.has_value()) {
+      retries = 0;
+      continue;
     }
+    if (++retries > options_.max_retransmits) {
+      result = CrashDetected(to, call_number, 0, "no acknowledgment from ");
+      break;
+    }
+    // Retransmit the first unacknowledged segment, asking for an ack.
+    Segment& again = state.segments[state.acked];
+    again.please_ack = true;
+    co_await TransmitSegment(to, again, true);
   }
-  senders_.erase(key);
+  senders_.erase(emplaced.first);
   co_return result;
 }
 
-sim::Task<void> PairedEndpoint::BlastMulticast(net::NetAddress group,
-                                               MessageType type,
-                                               uint32_t call_number,
-                                               circus::Bytes data) {
+sim::Task<void> PairedEndpoint::SendOnce(net::NetAddress to,
+                                         MessageType type,
+                                         uint32_t call_number,
+                                         circus::Bytes data) {
   std::vector<Segment> segments =
       Segmentize(type, call_number, data, options_.segment_data_bytes);
   for (const Segment& s : segments) {
-    co_await TransmitSegment(group, s, false);
+    co_await TransmitSegment(to, s, false);
   }
+}
+
+Status PairedEndpoint::CrashDetected(const net::NetAddress& peer,
+                                     uint32_t call_number, uint64_t probes,
+                                     const char* what) {
+  if (crash_detections_metric_ != nullptr) {
+    crash_detections_metric_->Increment();
+  }
+  PublishSegmentEvent(obs::EventKind::kPeerCrashDetected, peer, call_number,
+                      probes);
+  return Status(ErrorCode::kCrashDetected, what + peer.ToString());
 }
 
 // ------------------------------------------------------------- Receiving
 
 sim::Task<Message> PairedEndpoint::NextIncomingCall() {
-  co_return co_await ReceiveValue(*incoming_calls_);
+  co_return co_await ReceiveValue(incoming_calls_);
 }
 
 sim::Channel<Message>& PairedEndpoint::ReturnSlot(const ExchangeKey& key) {
-  auto it = return_slots_.find(key);
-  if (it == return_slots_.end()) {
-    it = return_slots_
-             .emplace(key, std::make_unique<sim::Channel<Message>>(host()))
-             .first;
-  }
-  return *it->second;
+  return return_slots_.try_emplace(key, host()).first->second;
 }
 
 sim::Task<circus::StatusOr<Message>> PairedEndpoint::AwaitReturn(
@@ -242,13 +214,9 @@ sim::Task<circus::StatusOr<Message>> PairedEndpoint::AwaitReturn(
       silent_probes = 0;
     } else if (++silent_probes > options_.max_silent_probes) {
       return_slots_.erase(key);
-      if (crash_detections_metric_ != nullptr) {
-        crash_detections_metric_->Increment();
-      }
-      PublishSegmentEvent(obs::EventKind::kPeerCrashDetected, peer,
-                          call_number, static_cast<uint64_t>(silent_probes));
-      co_return Status(ErrorCode::kCrashDetected,
-                       "no response to probes from " + peer.ToString());
+      co_return CrashDetected(peer, call_number,
+                              static_cast<uint64_t>(silent_probes),
+                              "no response to probes from ");
     }
     if (probe_rounds_metric_ != nullptr) {
       probe_rounds_metric_->Increment();
@@ -320,13 +288,12 @@ void PairedEndpoint::HandleAck(const net::NetAddress& from,
   if (it == senders_.end()) {
     return;  // stale ack for a finished exchange
   }
-  SenderState& state = *it->second;
+  SenderState& state = it->second;
+  // Segment i (1-based) is acknowledged once ack_number >= i.
   const uint8_t ack_number = seg.segment_number;
-  while (!state.unacked.empty() &&
-         state.unacked.front().segment_number <= ack_number) {
-    state.unacked.pop_front();
-  }
-  state.progress->Send(ack_number);
+  state.acked = std::max<size_t>(
+      state.acked, std::min<size_t>(ack_number, state.segments.size()));
+  state.progress.Send(ack_number);
 }
 
 void PairedEndpoint::HandleProbe(const net::NetAddress& from,
@@ -353,11 +320,9 @@ void PairedEndpoint::HandleProbe(const net::NetAddress& from,
 
 void PairedEndpoint::ApplyImplicitAcks(const net::NetAddress& from,
                                        const Segment& seg) {
-  auto full_ack = [this](std::map<ExchangeKey,
-                                  std::shared_ptr<SenderState>>::iterator
-                             it) {
-    it->second->unacked.clear();
-    it->second->progress->Send(UINT32_MAX);
+  auto full_ack = [](SenderState& state) {
+    state.acked = state.segments.size();
+    state.progress.Send(UINT32_MAX);
   };
   if (seg.type == MessageType::kReturn) {
     // A return segment implicitly acknowledges the call with the same
@@ -365,7 +330,7 @@ void PairedEndpoint::ApplyImplicitAcks(const net::NetAddress& from,
     auto it = senders_.find(
         ExchangeKey{from, MessageType::kCall, seg.call_number});
     if (it != senders_.end()) {
-      full_ack(it);
+      full_ack(it->second);
     }
   } else {
     // A call segment implicitly acknowledges returns with earlier call
@@ -375,9 +340,8 @@ void PairedEndpoint::ApplyImplicitAcks(const net::NetAddress& from,
     while (it != senders_.end() && it->first.peer == from &&
            it->first.type == MessageType::kReturn &&
            it->first.call_number < seg.call_number) {
-      auto next = std::next(it);
-      full_ack(it);
-      it = next;
+      full_ack(it->second);
+      ++it;
     }
   }
 }
@@ -475,7 +439,7 @@ void PairedEndpoint::DeliverMessage(const net::NetAddress& from,
                       data.size());
   Message m{from, type, call_number, std::move(data)};
   if (type == MessageType::kCall) {
-    incoming_calls_->Send(std::move(m));
+    incoming_calls_.Send(std::move(m));
   } else {
     ReturnSlot(ExchangeKey{from, type, call_number}).Send(std::move(m));
   }

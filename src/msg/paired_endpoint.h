@@ -6,7 +6,9 @@
 //
 //  * segmentation/reassembly with a sliding window (all segments sent
 //    before any is acknowledged), or the Xerox PARC-style stop-and-wait
-//    alternative for comparison (Section 4.2.5);
+//    alternative for comparison (Section 4.2.5). Both are one send loop:
+//    stop-and-wait is a window of one segment, each but the last asking
+//    for an explicit ack;
 //  * explicit acks (ack bit + acknowledgment number) and implicit acks
 //    (a return segment acks the call of the same call number; a call
 //    segment acks returns with earlier call numbers);
@@ -26,9 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "src/common/bytes.h"
@@ -103,17 +103,20 @@ class PairedEndpoint {
   const EndpointOptions& options() const { return options_; }
 
   // Sends one message reliably to `to`. Returns kCrashDetected if the
-  // receiver never acknowledges despite repeated retransmission.
+  // receiver never acknowledges despite repeated retransmission, and
+  // kAlreadyExists at once if a message with the same type and call
+  // number is still in flight to `to` (one sender per exchange).
   sim::Task<circus::Status> SendMessage(net::NetAddress to, MessageType type,
                                         uint32_t call_number,
                                         circus::Bytes data);
 
-  // Transmits the segments of a message once to a multicast group, with
-  // no per-member reliability: the caller (the replicated call layer)
-  // treats each member's return message as the acknowledgment and falls
-  // back to reliable unicast for silent members (Section 4.3.7).
-  sim::Task<void> BlastMulticast(net::NetAddress group, MessageType type,
-                                 uint32_t call_number, circus::Bytes data);
+  // Transmits the segments of a message once to `to`, a peer or a
+  // multicast group, with no reliability and no exchange state. The
+  // replicated call layer multicasts a call this way, treating each
+  // member's return message as the acknowledgment and falling back to
+  // reliable unicast for silent members (Section 4.3.7).
+  sim::Task<void> SendOnce(net::NetAddress to, MessageType type,
+                           uint32_t call_number, circus::Bytes data);
 
   // Next fully assembled incoming call message (servers consume these).
   sim::Task<Message> NextIncomingCall();
@@ -165,12 +168,15 @@ class PairedEndpoint {
     auto operator<=>(const ExchangeKey&) const = default;
   };
 
+  // One outgoing message, held in `senders_` while SendMessage runs.
   struct SenderState {
-    // Segments not yet acknowledged, in order.
-    std::deque<Segment> unacked;
+    explicit SenderState(sim::Host* host) : progress(host) {}
+    std::vector<Segment> segments;
+    // segments[0, acked) are acknowledged.
+    size_t acked = 0;
     // Signals ack progress; value is the new acknowledgment number
     // (UINT32_MAX for an implicit full ack).
-    std::unique_ptr<sim::Channel<uint32_t>> progress;
+    sim::Channel<uint32_t> progress;
   };
 
   struct Reassembly {
@@ -192,6 +198,11 @@ class PairedEndpoint {
   void DeliverMessage(const net::NetAddress& from, MessageType type,
                       uint32_t call_number, circus::Bytes data);
   void RememberCompleted(const ExchangeKey& key, uint8_t total_segments);
+  // Counts and publishes a crash detection of `peer`; returns the
+  // kCrashDetected status `what` + peer.
+  circus::Status CrashDetected(const net::NetAddress& peer,
+                               uint32_t call_number, uint64_t probes,
+                               const char* what);
   sim::Channel<Message>& ReturnSlot(const ExchangeKey& key);
   sim::Task<void> TransmitSegment(const net::NetAddress& to,
                                   const Segment& seg, bool retransmission);
@@ -214,14 +225,15 @@ class PairedEndpoint {
   obs::Counter* duplicates_metric_ = nullptr;
   obs::Counter* crash_detections_metric_ = nullptr;
 
-  std::map<ExchangeKey, std::shared_ptr<SenderState>> senders_;
+  // Map nodes are stable, so a suspended SendMessage keeps its entry by
+  // reference.
+  std::map<ExchangeKey, SenderState> senders_;
   std::map<ExchangeKey, Reassembly> reassembly_;
   // Completed exchange -> total segments (for re-acking duplicates).
   std::map<ExchangeKey, uint8_t> completed_;
   std::map<net::NetAddress, std::deque<ExchangeKey>> completed_order_;
-  std::unique_ptr<sim::Channel<Message>> incoming_calls_;
-  std::map<ExchangeKey, std::unique_ptr<sim::Channel<Message>>>
-      return_slots_;
+  sim::Channel<Message> incoming_calls_;
+  std::map<ExchangeKey, sim::Channel<Message>> return_slots_;
   // Last time any segment arrived from a peer (probe bookkeeping).
   std::map<net::NetAddress, sim::TimePoint> last_activity_;
 };

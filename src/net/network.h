@@ -34,7 +34,6 @@ struct FaultPlan {
   // Exponential jitter added on top of base_delay (mean; zero disables).
   sim::Duration mean_extra_delay = sim::Duration::Zero();
 
-  static FaultPlan PerfectLan() { return FaultPlan{}; }
   static FaultPlan Lossy(double loss) {
     FaultPlan p;
     p.loss_probability = loss;
@@ -81,7 +80,6 @@ class Network : public Fabric {
 
   // --- Observation ---
   const NetworkStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = NetworkStats{}; }
   // Datagrams sitting in bound sockets' receive queues, network-wide —
   // the recv-backlog side of the utilization telemetry.
   size_t TotalReceiveBacklog() const;

@@ -103,11 +103,6 @@ sim::Task<std::optional<Datagram>> DatagramSocket::ReceiveWithTimeout(
   co_return std::move(d);
 }
 
-std::optional<Datagram> DatagramSocket::Poll() {
-  host_->ChargeSyscallInstant(sim::Syscall::kSelect);
-  return incoming_.TryReceive();
-}
-
 void DatagramSocket::JoinGroup(HostAddress group) {
   CIRCUS_CHECK(!closed_);
   fabric_->JoinGroup(group, this);

@@ -62,9 +62,6 @@ class DatagramSocket {
   sim::Task<std::optional<Datagram>> ReceiveWithTimeout(
       sim::Duration timeout);
 
-  // Non-blocking poll: charges one select call.
-  std::optional<Datagram> Poll();
-
   // Kernel-level variants: no system-call charge. Used by protocols the
   // paper locates inside the kernel (the TCP analogue), whose per-packet
   // work is not visible as user-process system calls.

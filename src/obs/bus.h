@@ -75,7 +75,6 @@ class EventLog {
 
   const std::vector<Event>& events() const { return events_; }
   std::vector<Event> Take() { return std::exchange(events_, {}); }
-  void Clear() { events_.clear(); }
 
  private:
   EventBus* bus_;

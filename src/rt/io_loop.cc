@@ -93,13 +93,12 @@ void IoLoop::SetObservability(obs::EventBus* bus,
 
 bool IoLoop::RunUntil(const std::function<bool()>& done,
                       sim::Duration wall_timeout) {
-  stop_ = false;
   const sim::TimePoint deadline = WallNow() + wall_timeout;
   // Work/idle attribution: everything between epoll returns is work
   // (due events, done checks, fd callbacks); the epoll wait itself is
   // idle. `mark` carries the boundary across iterations.
   int64_t mark = MonotonicNanos();
-  while (!stop_) {
+  while (true) {
     // Run everything whose virtual deadline has passed, advancing the
     // executor clock to track the wall clock.
     executor_->RunUntil(WallNow());

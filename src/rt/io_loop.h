@@ -71,11 +71,6 @@ class IoLoop {
                 sim::Duration wall_timeout);
   void RunFor(sim::Duration wall_duration) { RunUntil({}, wall_duration); }
 
-  // Makes the innermost RunUntil return after the current batch. Safe
-  // only from within the loop (callbacks / executor events) — the loop
-  // is single-threaded and there is no cross-thread wakeup.
-  void Stop() { stop_ = true; }
-
   // Wires the loop to the runtime's observability hub. Each epoll
   // wakeup bumps rt.loop.wakeups / rt.loop.fd_events and, when the
   // deadline it waited for had passed, records the timer's slack (how
@@ -95,7 +90,6 @@ class IoLoop {
   sim::TimePoint sim_origin_;
   int64_t mono_origin_ns_ = 0;
   std::unordered_map<int, std::function<void()>> fd_callbacks_;
-  bool stop_ = false;
   obs::EventBus* bus_ = nullptr;
   obs::Counter* wakeups_ = nullptr;
   obs::Counter* fd_events_ = nullptr;

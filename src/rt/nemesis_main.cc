@@ -31,8 +31,11 @@
 // convergence, or a node death the schedule did not order.
 //
 // Usage (key=value arguments, all optional):
-//   circus_nemesis seed=7 dir=/tmp/run bin=build/src/rt/circus_node \
-//       members=3 horizon_s=25 actions=6 base_port=38400 json=out.json
+//   circus_nemesis seed=7 dir=/tmp/run bin=build/src/rt/circus_node
+//       members=3 horizon_s=25 actions=6 base_port=18400 json=out.json
+// (one command line; base_port defaults to 18400, below Linux's
+// ephemeral range, so a concurrent test's port-0 socket cannot take a
+// testbed port first).
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
@@ -102,7 +105,7 @@ std::optional<std::string> AskLocal(uint16_t port, const std::string& request,
 // ---------------------------------------------------------- processes --
 
 struct NodeProc {
-  std::string base_name;  // "member-38402"; incarnations append ".rK"
+  std::string base_name;  // "member-18402"; incarnations append ".rK"
   std::string role;       // config role string
   uint16_t port = 0;
   uint16_t stats_port = 0;
@@ -392,7 +395,7 @@ struct Options {
   int members = 3;
   int horizon_s = 25;
   int actions = 6;
-  int base_port = 38400;
+  int base_port = 18400;
   std::string json;
   std::string workload = "echo";
 };

@@ -75,8 +75,6 @@ class Channel {
     return v;
   }
 
-  void Clear() { queue_.clear(); }
-
  private:
   struct Receiver {
     std::weak_ptr<WaitState> state;

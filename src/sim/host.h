@@ -131,7 +131,6 @@ class Host {
   }
 
   const CpuStats& cpu() const { return cpu_; }
-  void ResetCpuStats() { cpu_ = CpuStats{}; }
   const SyscallCostModel& cost_model() const { return cost_model_; }
   void set_cost_model(SyscallCostModel m) { cost_model_ = m; }
 

@@ -32,7 +32,6 @@ class Duration {
     return Duration(RoundToInt64(s * 1e9));
   }
   static constexpr Duration Zero() { return Duration(0); }
-  static constexpr Duration Max() { return Duration(INT64_MAX); }
 
   constexpr int64_t nanos() const { return ns_; }
   constexpr double ToMillisF() const { return static_cast<double>(ns_) / 1e6; }

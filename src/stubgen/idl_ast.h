@@ -125,17 +125,17 @@ struct Program {
   std::vector<ErrorDecl> errors;
   std::vector<ProcedureDecl> procedures;
 
-  const TypeDecl* FindType(const std::string& name) const {
+  const TypeDecl* FindType(const std::string& wanted) const {
     for (const TypeDecl& t : types) {
-      if (t.name == name) {
+      if (t.name == wanted) {
         return &t;
       }
     }
     return nullptr;
   }
-  const ErrorDecl* FindError(const std::string& name) const {
+  const ErrorDecl* FindError(const std::string& wanted) const {
     for (const ErrorDecl& e : errors) {
-      if (e.name == name) {
+      if (e.name == wanted) {
         return &e;
       }
     }

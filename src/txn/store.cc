@@ -350,15 +350,6 @@ Task<StatusOr<circus::Bytes>> TxnStore::Get(const TxnId& txn,
   co_return *v;
 }
 
-Task<StatusOr<bool>> TxnStore::Exists(const TxnId& txn,
-                                      const std::string& key) {
-  Status s = co_await Acquire(txn, key, LockMode::kRead);
-  if (!s.ok()) {
-    co_return s;
-  }
-  co_return Lookup(txn, key).has_value();
-}
-
 Task<Status> TxnStore::Put(const TxnId& txn, const std::string& key,
                            circus::Bytes value) {
   Status s = co_await Acquire(txn, key, LockMode::kWrite);

@@ -44,7 +44,6 @@ class TxnStore {
   void Begin(const TxnId& txn);
   // Begins `child` as a nested transaction of `parent`.
   void BeginNested(const TxnId& child, const TxnId& parent);
-  bool Active(const TxnId& txn) const { return txns_.contains(txn); }
 
   // Applies the transaction's tentative updates. For a nested
   // transaction the updates and locks move to the parent; for a
@@ -58,9 +57,6 @@ class TxnStore {
                                                  const std::string& key);
   sim::Task<circus::Status> Put(const TxnId& txn, const std::string& key,
                                 circus::Bytes value);
-  // True if the key exists (in the transaction's view). Read-locks.
-  sim::Task<circus::StatusOr<bool>> Exists(const TxnId& txn,
-                                           const std::string& key);
 
   // --- non-transactional access (state transfer, tests) ---
   std::optional<circus::Bytes> Peek(const std::string& key) const;

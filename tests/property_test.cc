@@ -121,8 +121,8 @@ INSTANTIATE_TEST_SUITE_P(
         FaultCase{5, 0.0, 0.0, 13}, FaultCase{3, 0.15, 0.0, 14},
         FaultCase{3, 0.0, 0.5, 15}, FaultCase{3, 0.15, 0.3, 16},
         FaultCase{5, 0.1, 0.1, 17}, FaultCase{2, 0.3, 0.0, 18}),
-    [](const ::testing::TestParamInfo<FaultCase>& info) {
-      const FaultCase& c = info.param;
+    [](const ::testing::TestParamInfo<FaultCase>& test) {
+      const FaultCase& c = test.param;
       return "n" + std::to_string(c.troupe_size) + "_loss" +
              std::to_string(static_cast<int>(c.loss * 100)) + "_dup" +
              std::to_string(static_cast<int>(c.duplication * 100)) +
@@ -215,10 +215,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BroadcastCase{2, 2, 21}, BroadcastCase{3, 3, 22},
                       BroadcastCase{3, 3, 23}, BroadcastCase{5, 2, 24},
                       BroadcastCase{4, 4, 25}, BroadcastCase{3, 5, 26}),
-    [](const ::testing::TestParamInfo<BroadcastCase>& info) {
-      return "m" + std::to_string(info.param.members) + "_s" +
-             std::to_string(info.param.senders) + "_seed" +
-             std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<BroadcastCase>& test) {
+      return "m" + std::to_string(test.param.members) + "_s" +
+             std::to_string(test.param.senders) + "_seed" +
+             std::to_string(test.param.seed);
     });
 
 // ---------------------------------------------------------------------
@@ -290,10 +290,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(StoreCase{2, 10, 31}, StoreCase{4, 8, 32},
                       StoreCase{8, 5, 33}, StoreCase{3, 12, 34},
                       StoreCase{6, 6, 35}),
-    [](const ::testing::TestParamInfo<StoreCase>& info) {
-      return "w" + std::to_string(info.param.writers) + "_k" +
-             std::to_string(info.param.increments_each) + "_seed" +
-             std::to_string(info.param.seed);
+    [](const ::testing::TestParamInfo<StoreCase>& test) {
+      return "w" + std::to_string(test.param.writers) + "_k" +
+             std::to_string(test.param.increments_each) + "_seed" +
+             std::to_string(test.param.seed);
     });
 
 // ---------------------------------------------------------------------
@@ -364,8 +364,8 @@ INSTANTIATE_TEST_SUITE_P(
                       MsgCase{0.3, 0.0, 8000, 45},
                       MsgCase{0.15, 0.25, 8000, 46},
                       MsgCase{0.4, 0.4, 3000, 47}),
-    [](const ::testing::TestParamInfo<MsgCase>& info) {
-      const MsgCase& c = info.param;
+    [](const ::testing::TestParamInfo<MsgCase>& test) {
+      const MsgCase& c = test.param;
       return "loss" + std::to_string(static_cast<int>(c.loss * 100)) +
              "_dup" + std::to_string(static_cast<int>(c.duplication * 100)) +
              "_bytes" + std::to_string(c.message_bytes) + "_seed" +
