@@ -25,7 +25,6 @@ using circus::Status;
 using circus::StatusOr;
 using circus::apps::replfs::BlockKey;
 using circus::apps::replfs::Client;
-using circus::apps::replfs::ClientOptions;
 using circus::apps::replfs::Server;
 using circus::apps::replfs::Session;
 using circus::core::RpcProcess;

@@ -1,6 +1,7 @@
 #include "src/apps/replfs/client.h"
 
-#include <algorithm>
+#include <optional>
+#include <utility>
 
 #include "src/apps/replfs/server.h"
 #include "src/apps/replfs/wire.h"
@@ -10,7 +11,6 @@ namespace circus::apps::replfs {
 
 using circus::Status;
 using circus::StatusOr;
-using sim::Duration;
 using sim::Task;
 
 namespace fs = idl::ReplFs;
@@ -85,59 +85,54 @@ void Client::Bind(core::Troupe troupe) {
   stub_.Bind(troupe_);
 }
 
-Task<Status> Client::Run(core::ThreadId thread, const Body& body,
-                         ClientOptions options) {
-  Status last(ErrorCode::kAborted, "transaction never attempted");
-  for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
-    const txn::TxnId txn{thread, coordinator_.NextTxnNum(thread)};
-    coordinator_.Begin(txn, static_cast<int>(troupe_.members.size()),
-                       options.decision_timeout);
-    Session session(this, thread, txn);
-    Status body_status = co_await body(session);
-    if (!body_status.ok()) {
-      // Abort at the servers, then decide whether to retry.
-      const fs::Txn wire = ToWire(txn);
-      co_await stub_.Abort(thread, wire);
-      last = body_status;
-      if (body_status.code() != ErrorCode::kDeadlock &&
-          body_status.code() != ErrorCode::kAborted) {
-        co_return body_status;  // a real error; do not retry
-      }
-    } else {
-      core::Troupe coordinators;
-      if (options.coordinator_troupe.has_value()) {
-        coordinators = *options.coordinator_troupe;
-      } else {
-        coordinators.members.push_back(coordinator_.address());
-      }
-      const fs::Txn wire = ToWire(txn);
-      const fs::Coordinators coords = ToWire(coordinators);
-      StatusOr<fs::CommitResults> r =
-          co_await stub_.Commit(thread, wire, session.writes(), coords);
-      if (r.ok()) {
-        if (r->committed) {
-          co_return Status::Ok();
-        }
-        last = Status(ErrorCode::kAborted,
-                      "replfs commit aborted " + txn.ToString());
-      } else {
-        last = r.status();
-        if (last.code() != ErrorCode::kDeadlock &&
-            last.code() != ErrorCode::kAborted &&
-            last.code() != ErrorCode::kDisagreement) {
-          co_return last;
-        }
-      }
-    }
-    // Binary exponential back-off before retrying (Section 5.3.1).
-    Duration delay = options.backoff_base * (1LL << std::min(attempt, 10));
-    if (options.rng != nullptr) {
-      delay = Duration::Nanos(static_cast<int64_t>(
-          delay.nanos() * (0.5 + options.rng->UniformDouble())));
-    }
-    co_await process_->host()->SleepFor(delay);
+// Run()'s transaction steps: each attempt stages through a fresh
+// Session, whose write count travels in the attempt's Commit call so
+// the servers know how many broadcast deliveries to await.
+class Client::Attempts final : public txn::TransactionSteps {
+ public:
+  Attempts(Client* client, core::ThreadId thread, const Body& body)
+      : client_(client), thread_(thread), body_(body) {}
+
+  Task<Status> Stage(const txn::TxnId& txn) {
+    session_ = Session(client_, thread_, txn);
+    return body_(*session_);
   }
-  co_return last;
+
+  Task<> Abort(const txn::TxnId& txn) override {
+    const fs::Txn wire = ToWire(txn);
+    co_await client_->stub_.Abort(thread_, wire);
+  }
+
+  Task<StatusOr<bool>> Finish(const txn::TxnId& txn,
+                              const core::Troupe& coordinators) override {
+    const fs::Txn wire = ToWire(txn);
+    const fs::Coordinators coords = ToWire(coordinators);
+    StatusOr<fs::CommitResults> r = co_await client_->stub_.Commit(
+        thread_, wire, session_->writes(), coords);
+    if (!r.ok()) {
+      co_return r.status();
+    }
+    co_return r->committed;
+  }
+
+ private:
+  Client* client_;
+  core::ThreadId thread_;
+  const Body& body_;
+  std::optional<Session> session_;
+};
+
+Task<Status> Client::Run(core::ThreadId thread, const Body& body,
+                         txn::RunTransactionOptions options) {
+  Attempts attempts(this, thread, body);
+  // A named local: a capturing lambda must not become a std::function
+  // inside a co_await statement.
+  const txn::TransactionBody stage = [&attempts](const txn::TxnId& txn) {
+    return attempts.Stage(txn);
+  };
+  co_return co_await txn::RunTransaction(
+      process_, &coordinator_, thread,
+      static_cast<int>(troupe_.members.size()), attempts, stage, options);
 }
 
 Task<StatusOr<fs::BlockData>> Client::ReadBlock(core::ThreadId thread,

@@ -1,36 +1,23 @@
 // The replfs client library: wraps the stub-generated ReplFsClient in
 // the transactional session protocol. A transaction body opens files,
 // stages block writes (ordered atomic broadcast to the troupe's writes
-// module), and commits; Run() drives the whole Section 5.3 client
-// half -- fresh TxnId per attempt, commit coordinator bookkeeping, and
-// retry with binary exponential back-off on deadlock-induced aborts --
-// mirroring txn::RunTransaction but speaking the generated stubs.
+// module), and commits; Run() runs on txn::RunTransaction -- the one
+// Section 5.3 client half: fresh TxnId per attempt, commit coordinator
+// bookkeeping, and retry with binary exponential back-off on
+// deadlock-induced aborts -- with the attempt's abort and commit spoken
+// through the generated stubs.
 #ifndef SRC_APPS_REPLFS_CLIENT_H_
 #define SRC_APPS_REPLFS_CLIENT_H_
 
 #include <functional>
-#include <optional>
 #include <string>
-#include <utility>
 
 #include "gen/apps/replfs.h"
 #include "src/core/process.h"
-#include "src/sim/random.h"
 #include "src/txn/commit.h"
 #include "src/txn/types.h"
 
 namespace circus::apps::replfs {
-
-struct ClientOptions {
-  int max_attempts = 8;
-  sim::Duration decision_timeout = sim::Duration::Seconds(2);
-  sim::Duration backoff_base = sim::Duration::Millis(50);
-  sim::Rng* rng = nullptr;  // jitter source; deterministic default if null
-  // With a replicated client troupe, every member must name the same
-  // coordinator troupe (one coordinator per client member); unset means
-  // "just this process's coordinator".
-  std::optional<core::Troupe> coordinator_troupe;
-};
 
 class Client;
 
@@ -66,8 +53,6 @@ class Client {
   // Binds to the replfs server troupe (the ReplFs modules); the writes
   // broadcast troupe is derived by module-number offset.
   void Bind(core::Troupe troupe);
-  const core::Troupe& binding() const { return troupe_; }
-  txn::CommitCoordinator& coordinator() { return coordinator_; }
 
   // The body stages operations through the session and returns Ok to
   // request commit or an error to abort. NOTE: callers inside
@@ -78,7 +63,7 @@ class Client {
   // Runs `body` as a replicated transaction; returns Ok once an
   // attempt commits at every troupe member.
   sim::Task<Status> Run(core::ThreadId thread, const Body& body,
-                        ClientOptions options = {});
+                        txn::RunTransactionOptions options = {});
 
   // Committed-state reads (unanimous collation).
   sim::Task<StatusOr<idl::ReplFs::BlockData>> ReadBlock(
@@ -88,6 +73,7 @@ class Client {
 
  private:
   friend class Session;
+  class Attempts;
 
   core::RpcProcess* process_;
   idl::ReplFs::ReplFsClient stub_;

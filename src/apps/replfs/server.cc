@@ -18,6 +18,11 @@ using sim::Task;
 
 namespace fs = idl::ReplFs;
 
+// How long Commit waits for the transaction's staged writes to be
+// delivered by the broadcast before voting abort: below the client's
+// default commit decision timeout (2 s).
+constexpr Duration kStageWait = Duration::Millis(1500);
+
 std::string BlockKey(const std::string& file, uint32_t block) {
   return "f:" + file + ":" + std::to_string(block);
 }
@@ -100,7 +105,7 @@ Task<StatusOr<fs::CommitResults>> Server::Commit(ServerCallContext&,
   // writes; commit order across members is enforced by the commit
   // protocol itself, not by this wait.
   const sim::TimePoint deadline =
-      process_->host()->executor().now() + stage_wait_;
+      process_->host()->executor().now() + kStageWait;
   while (staged_[txn].writes.size() < args.writes &&
          process_->host()->executor().now() < deadline) {
     co_await process_->host()->SleepFor(Duration::Millis(20));

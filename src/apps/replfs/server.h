@@ -57,11 +57,6 @@ class Server : public idl::ReplFs::ReplFsHandler {
   }
   txn::TxnStore& store() { return store_; }
 
-  // How long Commit waits for the transaction's staged writes to be
-  // delivered by the broadcast before voting abort. Keep it below the
-  // client's commit decision timeout.
-  void set_stage_wait(sim::Duration d) { stage_wait_ = d; }
-
   // Consumes ordered-broadcast write deliveries forever; spawn on the
   // executor that runs the process (the harness owns the lifetime, as
   // with OrderedBroadcastServer consumers elsewhere).
@@ -118,7 +113,6 @@ class Server : public idl::ReplFs::ReplFsHandler {
   txn::TxnStore store_;
   std::unique_ptr<txn::OrderedBroadcastServer> writes_;
   std::map<txn::TxnId, TxnState> staged_;
-  sim::Duration stage_wait_ = sim::Duration::Millis(1500);
   uint64_t committed_ = 0;
   uint64_t aborted_ = 0;
 };

@@ -331,6 +331,62 @@ int RunMember(const NodeConfig& config) {
   return FinishNode(runtime, node_obs, 0);
 }
 
+// ------------------------------------------------------ client report --
+
+// What a client's probe loop achieved, for either workload.
+struct ClientProgress {
+  std::vector<double> latencies_ms;
+  size_t failed = 0;
+  bool finished = false;
+  bool ok = true;
+  bool verified = false;  // the replfs read-your-writes probe passed
+};
+
+// Prints the finished probe loop's latency summary and finishes the
+// node. An operator stop (SIGINT/SIGTERM) mid-run is a graceful exit,
+// not a failure: whatever completed is reported and flushed as usual.
+// `failure` is the log line of a run that failed.
+int ReportClientRun(const NodeConfig& config, Runtime& runtime,
+                    NodeObservability& node_obs,
+                    const ClientProgress& progress, const char* failure) {
+  const bool stopped_early = !progress.finished && ShutdownRequested();
+  if (!stopped_early && !config.resilient &&
+      (!progress.finished || !progress.ok ||
+       progress.latencies_ms.empty())) {
+    CIRCUS_LOG_AT(LogLevel::kError, runtime.now().nanos()) << failure;
+    return FinishNode(runtime, node_obs, 1);
+  }
+  if (progress.latencies_ms.empty() && !config.resilient) {
+    return FinishNode(runtime, node_obs, 0);
+  }
+  double total = 0;
+  double min = 0;
+  double max = 0;
+  if (!progress.latencies_ms.empty()) {
+    min = progress.latencies_ms.front();
+    max = min;
+    for (double ms : progress.latencies_ms) {
+      total += ms;
+      min = ms < min ? ms : min;
+      max = ms > max ? ms : max;
+    }
+  }
+  const size_t ok_calls = progress.latencies_ms.size();
+  const double mean = ok_calls > 0 ? total / ok_calls : 0.0;
+  if (config.resilient) {
+    // The availability line the nemesis parses: attempted/ok/failed.
+    std::printf(
+        "calls=%zu ok=%zu failed=%zu mean_ms=%.3f min_ms=%.3f "
+        "max_ms=%.3f\n",
+        ok_calls + progress.failed, ok_calls, progress.failed, mean, min,
+        max);
+  } else {
+    std::printf("calls=%zu mean_ms=%.3f min_ms=%.3f max_ms=%.3f\n",
+                ok_calls, mean, min, max);
+  }
+  return FinishNode(runtime, node_obs, 0);
+}
+
 // ------------------------------------------------------ replfs client --
 // The replfs workload speaks transactions, not raw calls: each probe is
 // open / write one block / close / commit through apps::replfs::Client.
@@ -376,18 +432,10 @@ apps::replfs::Client::Body MakeWriteBlockBody(std::string file,
   };
 }
 
-struct ReplFsProgress {
-  std::vector<double> latencies_ms;
-  size_t failed = 0;
-  bool finished = false;
-  bool ok = true;
-  bool verified = false;
-};
-
 sim::Task<void> ReplFsClientLoop(Runtime* rt, core::RpcProcess* p,
                                  binding::BindingCache* c,
                                  apps::replfs::Client* fs, NodeConfig cfg,
-                                 std::shared_ptr<ReplFsProgress> out) {
+                                 std::shared_ptr<ClientProgress> out) {
   const core::ThreadId thread = p->NewRootThread();
   sim::Rng rng((static_cast<uint64_t>(p->process_address().port) << 32) ^
                static_cast<uint64_t>(p->host()->executor().now().nanos()));
@@ -408,7 +456,7 @@ sim::Task<void> ReplFsClientLoop(Runtime* rt, core::RpcProcess* p,
     c->Invalidate(cfg.troupe);
     co_await p->host()->SleepFor(sim::Duration::Millis(250));
   }
-  apps::replfs::ClientOptions options;
+  txn::RunTransactionOptions options;
   options.rng = &rng;
   const int words = cfg.payload > 0 ? cfg.payload : 1;
 
@@ -489,7 +537,7 @@ int RunReplFsClient(const NodeConfig& config, Runtime& runtime,
                     NodeObservability& node_obs, core::RpcProcess* process,
                     binding::BindingCache* cache) {
   apps::replfs::Client fs(process);
-  auto progress = std::make_shared<ReplFsProgress>();
+  auto progress = std::make_shared<ClientProgress>();
   process->host()->Spawn(
       ReplFsClientLoop(&runtime, process, cache, &fs, config, progress));
   runtime.RunUntil(
@@ -499,40 +547,8 @@ int RunReplFsClient(const NodeConfig& config, Runtime& runtime,
     std::printf("verify=%s\n", progress->verified ? "ok" : "failed");
     return FinishNode(runtime, node_obs, progress->verified ? 0 : 1);
   }
-  const bool stopped_early = !progress->finished && ShutdownRequested();
-  if (!stopped_early && !config.resilient &&
-      (!progress->finished || !progress->ok ||
-       progress->latencies_ms.empty())) {
-    CIRCUS_LOG_AT(LogLevel::kError, runtime.now().nanos())
-        << "replfs client run failed";
-    return FinishNode(runtime, node_obs, 1);
-  }
-  double total = 0;
-  double min = 0;
-  double max = 0;
-  if (!progress->latencies_ms.empty()) {
-    min = progress->latencies_ms.front();
-    max = min;
-    for (double ms : progress->latencies_ms) {
-      total += ms;
-      min = ms < min ? ms : min;
-      max = ms > max ? ms : max;
-    }
-  }
-  const size_t ok_calls = progress->latencies_ms.size();
-  const double mean = ok_calls > 0 ? total / ok_calls : 0.0;
-  if (config.resilient) {
-    // Same availability line the nemesis parses for the echo workload.
-    std::printf(
-        "calls=%zu ok=%zu failed=%zu mean_ms=%.3f min_ms=%.3f "
-        "max_ms=%.3f\n",
-        ok_calls + progress->failed, ok_calls, progress->failed, mean, min,
-        max);
-  } else {
-    std::printf("calls=%zu mean_ms=%.3f min_ms=%.3f max_ms=%.3f\n",
-                ok_calls, mean, min, max);
-  }
-  return FinishNode(runtime, node_obs, 0);
+  return ReportClientRun(config, runtime, node_obs, *progress,
+                         "replfs client run failed");
 }
 
 int RunClient(const NodeConfig& config) {
@@ -561,16 +577,10 @@ int RunClient(const NodeConfig& config) {
   }
   process.SetClientTroupeResolver(cache.MakeResolver());
 
-  struct Progress {
-    std::vector<double> latencies_ms;
-    size_t failed = 0;
-    bool finished = false;
-    bool ok = true;
-  };
-  auto progress = std::make_shared<Progress>();
+  auto progress = std::make_shared<ClientProgress>();
   host->Spawn([](Runtime* rt, core::RpcProcess* p, binding::BindingCache* c,
                  NodeConfig cfg,
-                 std::shared_ptr<Progress> out) -> sim::Task<void> {
+                 std::shared_ptr<ClientProgress> out) -> sim::Task<void> {
     const core::ThreadId thread = p->NewRootThread();
     const circus::Bytes args(static_cast<size_t>(cfg.payload), 0x5A);
     core::CallOptions opts;
@@ -612,49 +622,11 @@ int RunClient(const NodeConfig& config) {
     }
     out->finished = true;
   }(&runtime, &process, &cache, config, progress));
-
   runtime.RunUntil(
       [progress] { return progress->finished || ShutdownRequested(); },
       sim::Duration::Seconds(60 + config.calls));
-  // An operator stop (SIGINT/SIGTERM) mid-run is a graceful exit, not a
-  // failure: report whatever completed and flush as usual.
-  const bool stopped_early = !progress->finished && ShutdownRequested();
-  if (!stopped_early && !config.resilient &&
-      (!progress->finished || !progress->ok ||
-       progress->latencies_ms.empty())) {
-    CIRCUS_LOG_AT(LogLevel::kError, runtime.now().nanos())
-        << "client run failed";
-    return FinishNode(runtime, node_obs, 1);
-  }
-  if (progress->latencies_ms.empty() && !config.resilient) {
-    return FinishNode(runtime, node_obs, 0);
-  }
-  double total = 0;
-  double min = 0;
-  double max = 0;
-  if (!progress->latencies_ms.empty()) {
-    min = progress->latencies_ms.front();
-    max = min;
-    for (double ms : progress->latencies_ms) {
-      total += ms;
-      min = ms < min ? ms : min;
-      max = ms > max ? ms : max;
-    }
-  }
-  const size_t ok_calls = progress->latencies_ms.size();
-  const double mean = ok_calls > 0 ? total / ok_calls : 0.0;
-  if (config.resilient) {
-    // The availability line the nemesis parses: attempted/ok/failed.
-    std::printf(
-        "calls=%zu ok=%zu failed=%zu mean_ms=%.3f min_ms=%.3f "
-        "max_ms=%.3f\n",
-        ok_calls + progress->failed, ok_calls, progress->failed, mean, min,
-        max);
-  } else {
-    std::printf("calls=%zu mean_ms=%.3f min_ms=%.3f max_ms=%.3f\n",
-                ok_calls, mean, min, max);
-  }
-  return FinishNode(runtime, node_obs, 0);
+  return ReportClientRun(config, runtime, node_obs, *progress,
+                         "client run failed");
 }
 
 int Main(int argc, char** argv) {

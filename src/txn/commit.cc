@@ -20,9 +20,11 @@ namespace {
 
 // Publishes a transaction-protocol event keyed by the transaction's
 // logical thread, so commit traffic lands in the same trace tree as the
-// calls that ran the transaction body.
+// calls that ran the transaction body. `detail()` formats the event's
+// text; it runs only when the bus has a subscriber.
+template <typename Detail>
 void PublishTxnEvent(core::RpcProcess* process, obs::EventKind kind,
-                     const TxnId& txn, uint64_t a, std::string detail) {
+                     const TxnId& txn, uint64_t a, Detail detail) {
   obs::EventBus* bus = process->event_bus();
   if (bus == nullptr || !bus->active()) {
     return;
@@ -36,7 +38,7 @@ void PublishTxnEvent(core::RpcProcess* process, obs::EventKind kind,
                             txn.thread.local};
   e.a = a;
   e.c = txn.num;
-  e.detail = std::move(detail);
+  e.detail = detail();
   bus->Publish(std::move(e));
 }
 
@@ -90,13 +92,13 @@ Task<StatusOr<circus::Bytes>> CommitCoordinator::HandleReadyToCommit(
       p->decision = false;
       p->decided.Notify();
       PublishTxnEvent(process_, obs::EventKind::kTxnDecision, txn, 0,
-                      txn.ToString() + " abort-vote");
+                      [&] { return txn.ToString() + " abort-vote"; });
     } else if (p->votes >= p->expected) {
       // Every member of the server troupe is ready: commit.
       p->decision = true;
       p->decided.Notify();
       PublishTxnEvent(process_, obs::EventKind::kTxnDecision, txn, 1,
-                      txn.ToString());
+                      [&] { return txn.ToString(); });
     }
   }
   if (!p->decision.has_value()) {
@@ -112,8 +114,9 @@ Task<StatusOr<circus::Bytes>> CommitCoordinator::HandleReadyToCommit(
                 metrics != nullptr) {
               metrics->GetCounter("txn.decision_timeouts")->Increment();
             }
-            PublishTxnEvent(process_, obs::EventKind::kTxnDecision, txn, 0,
-                            txn.ToString() + " deadlock-timeout");
+            PublishTxnEvent(
+                process_, obs::EventKind::kTxnDecision, txn, 0,
+                [&] { return txn.ToString() + " deadlock-timeout"; });
             p->decided.Notify();
           }
         });
@@ -181,7 +184,7 @@ Task<bool> FinishTransaction(core::RpcProcess* process, TxnStore* store,
                              const TxnId& txn, const Troupe& coordinator,
                              bool vote) {
   PublishTxnEvent(process, obs::EventKind::kTxnVote, txn, vote ? 1 : 0,
-                  txn.ToString());
+                  [&] { return txn.ToString(); });
   // Call ready_to_commit back at the client troupe. The roles of client
   // and server are reversed here (Section 5.3). Each server troupe
   // member makes this call-back on a thread of its own: votes are
@@ -222,8 +225,8 @@ Task<bool> FinishTransaction(core::RpcProcess* process, TxnStore* store,
 
 Task<Status> RunTransaction(core::RpcProcess* process,
                             CommitCoordinator* coordinator,
-                            core::ThreadId thread, const Troupe& server,
-                            core::ModuleNumber server_module,
+                            core::ThreadId thread, int server_members,
+                            TransactionSteps& steps,
                             const TransactionBody& body,
                             const RunTransactionOptions& options) {
   Status last(ErrorCode::kAborted, "transaction never attempted");
@@ -236,76 +239,55 @@ Task<Status> RunTransaction(core::RpcProcess* process,
   obs::Counter* aborts_metric =
       metrics != nullptr ? metrics->GetCounter("txn.aborts") : nullptr;
   const sim::TimePoint txn_start = process->host()->executor().now();
+  const Troupe coordinator_troupe = options.coordinator_troupe.value_or(
+      Troupe{.id = {}, .members = {coordinator->address()}});
   for (int attempt = 0; attempt < options.max_attempts; ++attempt) {
     const TxnId txn{thread, coordinator->NextTxnNum(thread)};
-    coordinator->Begin(txn, static_cast<int>(server.members.size()),
-                       options.decision_timeout);
-    Status body_status = co_await body(txn);
-    if (!body_status.ok()) {
+    coordinator->Begin(txn, server_members, options.decision_timeout);
+    last = co_await body(txn);
+    bool retryable = false;
+    if (!last.ok()) {
       // Abort at the servers, then decide whether to retry.
-      marshal::Writer w;
-      txn.Write(w);
-      co_await process->Call(thread, server, server_module,
-                             kAbortTransaction, w.Take());
-      last = body_status;
-      if (body_status.code() != ErrorCode::kDeadlock &&
-          body_status.code() != ErrorCode::kAborted) {
-        if (aborts_metric != nullptr) {
-          aborts_metric->Increment();
-        }
-        PublishTxnEvent(process, obs::EventKind::kTxnResolved, txn, 0,
-                        body_status.ToString());
-        co_return body_status;  // a real error; do not retry
-      }
+      co_await steps.Abort(txn);
+      retryable = last.code() == ErrorCode::kDeadlock ||
+                  last.code() == ErrorCode::kAborted;
     } else {
       // Drive the troupe commit protocol.
-      marshal::Writer w;
-      txn.Write(w);
-      Troupe coordinator_troupe;
-      if (options.coordinator_troupe.has_value()) {
-        coordinator_troupe = *options.coordinator_troupe;
-      } else {
-        coordinator_troupe.members.push_back(coordinator->address());
-      }
-      binding::WriteTroupe(w, coordinator_troupe);
-      StatusOr<circus::Bytes> r = co_await process->Call(
-          thread, server, server_module, kFinishTransaction, w.Take());
-      if (r.ok()) {
-        marshal::Reader rr(*r);
-        const bool committed = rr.ReadBool();
-        if (rr.ok() && committed) {
-          if (commit_ms_metric != nullptr) {
-            commit_ms_metric->Observe(
-                static_cast<double>(
-                    (process->host()->executor().now() - txn_start)
-                        .nanos()) /
-                1e6);
-          }
-          PublishTxnEvent(process, obs::EventKind::kTxnResolved, txn, 1,
-                          txn.ToString());
-          co_return Status::Ok();
+      StatusOr<bool> committed =
+          co_await steps.Finish(txn, coordinator_troupe);
+      if (committed.ok() && *committed) {
+        if (commit_ms_metric != nullptr) {
+          commit_ms_metric->Observe(
+              static_cast<double>(
+                  (process->host()->executor().now() - txn_start).nanos()) /
+              1e6);
         }
-        last = Status(ErrorCode::kAborted,
-                      "troupe commit protocol aborted " + txn.ToString());
-      } else {
-        last = r.status();
-        if (last.code() != ErrorCode::kDeadlock &&
-            last.code() != ErrorCode::kAborted &&
-            last.code() != ErrorCode::kDisagreement) {
-          if (aborts_metric != nullptr) {
-            aborts_metric->Increment();
-          }
-          PublishTxnEvent(process, obs::EventKind::kTxnResolved, txn, 0,
-                          last.ToString());
-          co_return last;
-        }
+        PublishTxnEvent(process, obs::EventKind::kTxnResolved, txn, 1,
+                        [&] { return txn.ToString(); });
+        co_return Status::Ok();
       }
+      last = committed.ok()
+                 ? Status(ErrorCode::kAborted,
+                          "troupe commit protocol aborted " + txn.ToString())
+                 : committed.status();
+      retryable = last.code() == ErrorCode::kDeadlock ||
+                  last.code() == ErrorCode::kAborted ||
+                  last.code() == ErrorCode::kDisagreement;
+    }
+    if (!retryable) {
+      if (aborts_metric != nullptr) {
+        aborts_metric->Increment();
+      }
+      PublishTxnEvent(process, obs::EventKind::kTxnResolved, txn, 0,
+                      [&] { return last.ToString(); });
+      co_return last;  // a real error; do not retry
     }
     if (restarts_metric != nullptr) {
       restarts_metric->Increment();
     }
     PublishTxnEvent(process, obs::EventKind::kTxnRetry, txn,
-                    static_cast<uint64_t>(attempt) + 1, last.ToString());
+                    static_cast<uint64_t>(attempt) + 1,
+                    [&] { return last.ToString(); });
     // Binary exponential back-off before retrying (Section 5.3.1).
     Duration delay = options.backoff_base * (1LL << std::min(attempt, 10));
     if (options.rng != nullptr) {
@@ -317,9 +299,63 @@ Task<Status> RunTransaction(core::RpcProcess* process,
   if (aborts_metric != nullptr) {
     aborts_metric->Increment();
   }
-  PublishTxnEvent(process, obs::EventKind::kTxnResolved,
-                  TxnId{thread, 0}, 0, "attempts exhausted");
+  PublishTxnEvent(process, obs::EventKind::kTxnResolved, TxnId{thread, 0},
+                  0, [] { return "attempts exhausted"; });
   co_return last;
+}
+
+namespace {
+
+// A TransactionalServer module's reserved procedures as the steps of
+// RunTransaction.
+class ServerModuleSteps final : public TransactionSteps {
+ public:
+  ServerModuleSteps(core::RpcProcess* process, core::ThreadId thread,
+                    const Troupe& server, core::ModuleNumber module)
+      : process_(process), thread_(thread), server_(server),
+        module_(module) {}
+
+  Task<> Abort(const TxnId& txn) override {
+    marshal::Writer w;
+    txn.Write(w);
+    co_await process_->Call(thread_, server_, module_, kAbortTransaction,
+                            w.Take());
+  }
+
+  Task<StatusOr<bool>> Finish(const TxnId& txn,
+                              const Troupe& coordinators) override {
+    marshal::Writer w;
+    txn.Write(w);
+    binding::WriteTroupe(w, coordinators);
+    StatusOr<circus::Bytes> r = co_await process_->Call(
+        thread_, server_, module_, kFinishTransaction, w.Take());
+    if (!r.ok()) {
+      co_return r.status();
+    }
+    marshal::Reader rr(*r);
+    const bool committed = rr.ReadBool();
+    co_return rr.ok() && committed;
+  }
+
+ private:
+  core::RpcProcess* process_;
+  core::ThreadId thread_;
+  const Troupe& server_;
+  core::ModuleNumber module_;
+};
+
+}  // namespace
+
+Task<Status> RunTransaction(core::RpcProcess* process,
+                            CommitCoordinator* coordinator,
+                            core::ThreadId thread, const Troupe& server,
+                            core::ModuleNumber server_module,
+                            const TransactionBody& body,
+                            const RunTransactionOptions& options) {
+  ServerModuleSteps steps(process, thread, server, server_module);
+  co_return co_await RunTransaction(
+      process, coordinator, thread, static_cast<int>(server.members.size()),
+      steps, body, options);
 }
 
 }  // namespace circus::txn

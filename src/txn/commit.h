@@ -152,14 +152,40 @@ struct RunTransactionOptions {
 using TransactionBody =
     std::function<sim::Task<circus::Status>(const TxnId&)>;
 
-// Runs `body` as a replicated transaction against `server`: begins a
-// transaction, runs the body, drives the troupe commit protocol, and on
-// deadlock-induced abort retries with binary exponential back-off.
-// Returns Ok once a transaction instance commits at all members.
+// The two server-facing steps of a transaction attempt. A
+// TransactionalServer's reserved kAbortTransaction / kFinishTransaction
+// procedures are one implementation; an application exporting its own
+// stub-generated module (apps::replfs) supplies another.
+class TransactionSteps {
+ public:
+  virtual ~TransactionSteps() = default;
+
+  // Discards the attempt's effects at every server troupe member.
+  virtual sim::Task<> Abort(const TxnId& txn) = 0;
+
+  // Asks the server troupe to finish the attempt through the troupe
+  // commit protocol, calling ready_to_commit back at `coordinators`;
+  // returns the joint decision (true = committed at every member).
+  virtual sim::Task<circus::StatusOr<bool>> Finish(
+      const TxnId& txn, const core::Troupe& coordinators) = 0;
+};
+
+// Runs `body` as a replicated transaction against a server troupe of
+// `server_members` members: begins a transaction, runs the body, finishes
+// or aborts it through `steps`, and on deadlock-induced abort retries
+// with binary exponential back-off. Returns Ok once a transaction
+// instance commits at all members.
 //
 // Reference parameters: the returned Task must be co_awaited within the
 // full expression of the RunTransaction(...) call (the usual pattern),
 // so that argument temporaries outlive the coroutine.
+sim::Task<circus::Status> RunTransaction(
+    core::RpcProcess* process, CommitCoordinator* coordinator,
+    core::ThreadId thread, int server_members, TransactionSteps& steps,
+    const TransactionBody& body, const RunTransactionOptions& options = {});
+
+// The same, against a TransactionalServer module: the steps are its
+// kAbortTransaction and kFinishTransaction procedures.
 sim::Task<circus::Status> RunTransaction(
     core::RpcProcess* process, CommitCoordinator* coordinator,
     core::ThreadId thread, const core::Troupe& server,

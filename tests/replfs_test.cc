@@ -8,6 +8,7 @@
 // rebuilt from another member's externalized state.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "src/apps/replfs/server.h"
 #include "src/common/check.h"
 #include "src/net/world.h"
+#include "src/obs/bus.h"
 
 namespace fs = circus::idl::ReplFs;
 
@@ -29,16 +31,20 @@ using circus::Status;
 using circus::StatusOr;
 using circus::apps::replfs::BlockKey;
 using circus::apps::replfs::Client;
-using circus::apps::replfs::ClientOptions;
 using circus::apps::replfs::Server;
 using circus::apps::replfs::Session;
 using circus::core::RpcProcess;
 using circus::core::ThreadId;
 using circus::core::Troupe;
 using circus::net::World;
+using circus::obs::Event;
+using circus::obs::EventKind;
+using circus::obs::EventLog;
+using circus::obs::ThreadRef;
 using circus::sim::Duration;
 using circus::sim::SyscallCostModel;
 using circus::sim::Task;
+using circus::txn::RunTransactionOptions;
 
 fs::BlockData MakeBlock(uint16_t fill, size_t words = 4) {
   fs::BlockData data(words);
@@ -112,8 +118,26 @@ Task<Status> TwoFilesBody(Session* session) {
   co_return Status::Ok();
 }
 
+// Stages a write, then fails its first attempt as a lock wait that
+// deadlocked would; the retry commits its own write.
+Task<Status> DeadlockOnceBody(int* attempts, Session* session) {
+  StatusOr<uint16_t> fd = co_await session->Open("retry");
+  if (!fd.ok()) {
+    co_return fd.status();
+  }
+  Status s = co_await session->Write(
+      *fd, 0, MakeBlock(static_cast<uint16_t>(*attempts)));
+  if (!s.ok()) {
+    co_return s;
+  }
+  if (++*attempts == 1) {
+    co_return Status(ErrorCode::kDeadlock, "injected deadlock");
+  }
+  co_return co_await session->Close(*fd);
+}
+
 Task<void> RunToStatus(Client* client, ThreadId thread, Client::Body body,
-                       ClientOptions options, Status* out) {
+                       RunTransactionOptions options, Status* out) {
   *out = co_await client->Run(thread, body, options);
 }
 
@@ -172,6 +196,8 @@ TEST_F(ReplFsTest, CommitReplicatesWritesToEveryMember) {
   const Client::Body body = MakeWriteBlocksBody("alpha", 100, 3);
   Status s = Run(client_->Run(client_process_->NewRootThread(), body));
   ASSERT_TRUE(s.ok()) << s.ToString();
+  // The commit ran through txn::RunTransaction, which records it.
+  EXPECT_EQ(world_.metrics().GetHistogram("txn.commit_ms")->count(), 1u);
   for (auto& server : servers_) {
     EXPECT_EQ(server->committed_transactions(), 1u);
     for (uint32_t b = 0; b < 3; ++b) {
@@ -192,11 +218,47 @@ TEST_F(ReplFsTest, AbortDiscardsStagedWrites) {
   };
   Status s = Run(client_->Run(client_process_->NewRootThread(), body));
   EXPECT_EQ(s.code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(world_.metrics().GetCounter("txn.aborts")->value(), 1u);
   for (auto& server : servers_) {
     EXPECT_FALSE(server->store().Peek(BlockKey("ghost", 0)).has_value());
     EXPECT_EQ(server->committed_transactions(), 0u);
     EXPECT_EQ(server->staged_transactions(), 0u);
   }
+}
+
+TEST_F(ReplFsTest, DeadlockedAttemptRetriesOnAFreshSession) {
+  int attempts = 0;
+  const Client::Body body = [&attempts](Session& session) {
+    return DeadlockOnceBody(&attempts, &session);
+  };
+  EventLog log(&world_.bus());
+  Status s = Run(client_->Run(client_process_->NewRootThread(), body));
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(attempts, 2);
+  std::vector<uint64_t> retried_attempts;
+  int committed = 0;
+  for (const Event& e : log.events()) {
+    if (e.kind == EventKind::kTxnRetry) {
+      retried_attempts.push_back(e.a);
+    } else if (e.kind == EventKind::kTxnResolved && e.a == 1) {
+      ++committed;
+    }
+  }
+  EXPECT_EQ(retried_attempts, std::vector<uint64_t>{1});
+  EXPECT_EQ(committed, 1);
+  EXPECT_EQ(world_.metrics().GetCounter("txn.deadlock_restarts")->value(),
+            1u);
+  // The retry's session counted its own single write: had it inherited
+  // the first attempt's count, the members would wait for a second write
+  // that never comes and vote abort.
+  for (auto& server : servers_) {
+    EXPECT_EQ(server->committed_transactions(), 1u);
+    EXPECT_EQ(server->staged_transactions(), 0u);
+  }
+  StatusOr<fs::BlockData> data =
+      Run(client_->ReadBlock(client_process_->NewRootThread(), "retry", 0));
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(*data, MakeBlock(1));
 }
 
 TEST_F(ReplFsTest, ManifestCataloguesCommittedFiles) {
@@ -239,12 +301,13 @@ TEST_F(ReplFsTest, ConcurrentClientsSerializeOnTheSameFile) {
   other_client->Bind(troupe_);
   circus::sim::Rng rng_a(11);
   circus::sim::Rng rng_b(22);
-  ClientOptions opts_a;
+  RunTransactionOptions opts_a;
   opts_a.rng = &rng_a;
-  ClientOptions opts_b;
+  RunTransactionOptions opts_b;
   opts_b.rng = &rng_b;
   Status sa(ErrorCode::kAborted, "unset");
   Status sb(ErrorCode::kAborted, "unset");
+  EventLog log(&world_.bus());
   world_.executor().Spawn(RunToStatus(
       client_.get(), client_process_->NewRootThread(),
       MakeWriteBlocksBody("shared", 40, 2), opts_a, &sa));
@@ -254,6 +317,23 @@ TEST_F(ReplFsTest, ConcurrentClientsSerializeOnTheSameFile) {
   world_.RunFor(Duration::Seconds(120));
   ASSERT_TRUE(sa.ok()) << sa.ToString();
   ASSERT_TRUE(sb.ok()) << sb.ToString();
+  // Each Run resolved as committed exactly once, and every deadlock
+  // restart it took is in the trace.
+  std::map<ThreadRef, int> committed_by_thread;
+  uint64_t retries = 0;
+  for (const Event& e : log.events()) {
+    if (e.kind == EventKind::kTxnResolved && e.a == 1) {
+      ++committed_by_thread[e.thread];
+    } else if (e.kind == EventKind::kTxnRetry) {
+      ++retries;
+    }
+  }
+  ASSERT_EQ(committed_by_thread.size(), 2u);
+  for (const auto& [thread, resolved] : committed_by_thread) {
+    EXPECT_EQ(resolved, 1);
+  }
+  EXPECT_EQ(world_.metrics().GetCounter("txn.deadlock_restarts")->value(),
+            retries);
   // 2PL on the manifest serialized the two transactions; every member
   // holds the same winner.
   const std::optional<Bytes> reference =
